@@ -20,6 +20,7 @@ from .family import (
 )
 from .fixtures import fixture_f1, fixture_f2, get_fixture
 from .graph import (
+    CertificateError,
     Graph,
     INF,
     ParseError,

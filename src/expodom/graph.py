@@ -26,6 +26,10 @@ class NotTreeError(ValueError):
     """Operation requires a tree."""
 
 
+class CertificateError(RuntimeError):
+    """A computed optimum failed the check of its own certificate."""
+
+
 class Graph:
     """Finite simple undirected graph: vertex count plus sorted adjacency."""
 

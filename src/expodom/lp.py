@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graph import Graph, NotTreeError, all_pairs_distances, is_subcubic_tree
-from .simplex import SimplexSolution, solve_max_leq, solve_min_geq
+from .simplex import SimplexSolution, check_min_geq, solve_max_leq, solve_min_geq
 
 INF = math.inf
 
@@ -59,7 +59,10 @@ def build_porous_lp(g: Graph) -> LpModel:
 
 
 def solve_exact(model: LpModel) -> LpSolution:
-    """Exact optimum with dual multipliers read off the final basis."""
+    """Exact optimum with dual multipliers read off the final basis.
+
+    Raises CertificateError if the pair fails its optimality certificate.
+    """
     n = model.size
     if len(model.matrix) and any(len(row) != n for row in model.matrix):
         raise ValueError("LP matrix and objective dimensions disagree")
@@ -68,8 +71,8 @@ def solve_exact(model: LpModel) -> LpSolution:
     res = solve_min_geq(model.matrix, model.rhs, model.objective)
     if res.status != "optimal":
         return LpSolution(res.status, None, None, None)
-    # strong duality must hold identically in exact arithmetic
-    assert sum(q * r for q, r in zip(res.y, model.rhs)) == res.objective
+    # primal and dual feasibility and strong duality, exactly
+    check_min_geq(model.matrix, model.rhs, model.objective, res)
     return LpSolution("optimal", tuple(res.x), tuple(res.y), res.objective)
 
 

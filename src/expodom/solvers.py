@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .graph import (
+    CertificateError,
     Graph,
     INF,
     all_pairs_distances,
@@ -51,6 +52,12 @@ class DomCertificate:
     witness: tuple[int, ...]
     profile: WeightProfile | None = None
     dominating: bool | None = None
+
+
+def _certify(ok: bool, what: str) -> None:
+    """Witness re-check that stays in force under ``python -O``."""
+    if not ok:
+        raise CertificateError(what)
 
 
 # -- classical domination: bitmask cover search ------------------------------
@@ -112,7 +119,7 @@ def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
 
 def domination_number(g: Graph) -> DomCertificate:
     value, witness = _min_cover(g, range(g.n))
-    assert is_dominating(g, witness)
+    _certify(is_dominating(g, witness), "gamma witness does not dominate")
     return DomCertificate("gamma", value, witness, dominating=True)
 
 
@@ -121,7 +128,10 @@ def restricted_domination_number(g: Graph, targets) -> DomCertificate:
     if any(not 0 <= v < g.n for v in tset):
         raise ValueError("target vertex outside the graph")
     value, witness = _min_cover(g, tset)
-    assert is_restricted_dominating(g, witness, tset)
+    _certify(
+        is_restricted_dominating(g, witness, tset),
+        "restricted witness misses a target",
+    )
     return DomCertificate("gamma_restricted", value, witness, dominating=True)
 
 
@@ -129,7 +139,10 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     value, witness = _min_cover(g, range(g.n), forced=(x,))
-    assert x in witness and is_dominating(g, witness)
+    _certify(
+        x in witness and is_dominating(g, witness),
+        "forced-vertex witness is not a dominating superset",
+    )
     return value
 
 
@@ -232,7 +245,7 @@ def exponential_domination_number(g: Graph) -> DomCertificate:
         return DomCertificate("gamma_e", 0, ())
     value, witness = _per_component(g, porous_only=False)
     profile = weight_profile(g, witness)
-    assert profile.min_blocked() >= 1
+    _certify(profile.min_blocked() >= 1, "gamma_e witness is not dominating")
     return DomCertificate("gamma_e", value, witness, profile=profile)
 
 
@@ -241,7 +254,7 @@ def porous_exponential_domination_number(g: Graph) -> DomCertificate:
         return DomCertificate("gamma_e_star", 0, ())
     value, witness = _per_component(g, porous_only=True)
     profile = weight_profile(g, witness)
-    assert profile.min_porous() >= 1
+    _certify(profile.min_porous() >= 1, "gamma_e_star witness is not dominating")
     return DomCertificate("gamma_e_star", value, witness, profile=profile)
 
 

@@ -1,12 +1,28 @@
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from expodom.graph import Graph, NotTreeError, cycle, path, star
+import expodom
+from expodom import lp
+from expodom.graph import (
+    CertificateError,
+    Graph,
+    NotTreeError,
+    connected_components,
+    cycle,
+    path,
+    star,
+)
 from expodom.enumeration import trees_up_to
 from expodom.fixtures import fixture_f1, fixture_f2
+from expodom.graph6 import emit_graph6
 from expodom.lp import (
     LpModel,
     bound_diameter,
@@ -96,6 +112,94 @@ def test_strong_duality_exact():
                 sum(model.matrix[i][j] * sol.primal[j] for j in range(n)) >= 1
             )
         assert sum(sol.primal) == sol.objective
+
+
+# sha256 over the solve_exact results of _pinned_corpus(), computed with the
+# earlier solver that pivoted a fractions.Fraction tableau by the same rules.
+# Equal digests mean the same x, y and objective on every LP, bit for bit.
+PINNED_LP_DIGEST = "1f1025e7cdd1e1ac0bfe851df2731f60dcff9c4d0318ad94919083e5a91d1f3f"
+
+
+def _pinned_corpus():
+    rng = random.Random(1605)
+    randoms = [random_subcubic_graph(rng, 12) for _ in range(60)]
+    return list(trees_up_to(12)) + randoms
+
+
+def test_solve_exact_pinned_values():
+    digest = hashlib.sha256()
+    cyclic = 0
+    for g in _pinned_corpus():
+        sol = solve_exact(build_porous_lp(g))
+        cyclic += len(g.edges()) > g.n - len(connected_components(g))
+        line = " ".join(
+            [emit_graph6(g), sol.status, *map(str, sol.primal), "|",
+             *map(str, sol.dual), "|", str(sol.objective)]
+        )
+        digest.update(line.encode() + b"\n")
+    assert cyclic == 20
+    assert digest.hexdigest() == PINNED_LP_DIGEST
+
+
+def _tamper_dual(res):
+    res.y[0] += 1
+
+
+def _tamper_primal(res):
+    res.x[:] = [F(0)] * len(res.x)
+
+
+def _tamper_objective(res):
+    res.objective -= F(1, 7)
+
+
+@pytest.mark.parametrize("tamper", [_tamper_dual, _tamper_primal, _tamper_objective])
+def test_tampered_solution_raises(monkeypatch, tamper):
+    real = lp.solve_min_geq
+
+    def kernel(a, b, c):
+        res = real(a, b, c)
+        tamper(res)
+        return res
+
+    monkeypatch.setattr(lp, "solve_min_geq", kernel)
+    with pytest.raises(CertificateError):
+        solve_exact(build_porous_lp(path(5)))
+
+
+def test_certificate_checks_survive_optimize_flag():
+    script = textwrap.dedent(
+        """
+        from expodom import lp, solvers
+        from expodom.graph import CertificateError, path
+
+        real = lp.solve_min_geq
+
+        def kernel(a, b, c):
+            res = real(a, b, c)
+            res.y[0] += 1
+            return res
+
+        lp.solve_min_geq = kernel
+        solvers._min_cover = lambda g, targets, forced=(): (1, (0,))
+        for call in (
+            lambda: lp.solve_exact(lp.build_porous_lp(path(5))),
+            lambda: solvers.domination_number(path(5)),
+        ):
+            try:
+                call()
+            except CertificateError:
+                continue
+            raise SystemExit("certificate check did not fire")
+        """
+    )
+    src = os.path.dirname(os.path.dirname(expodom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_dual_direct_agrees():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from expodom import simplex
 from expodom.simplex import solve_max_leq, solve_min_geq
 
 F = Fraction
@@ -55,6 +56,29 @@ def test_dimension_mismatch():
 def test_negative_rhs_rejected():
     with pytest.raises(ValueError):
         solve_min_geq([[F(1)]], [F(-1)], [F(1)])
+
+
+def test_negative_drive_out_pivot(monkeypatch):
+    # min x0 + 2 x1 s.t. 2 x0 >= 1, -x1 >= 0.  By hand: the second row and
+    # x1 >= 0 force x1 = 0, so x0 = 1/2 and the optimum is 1/2; the dual
+    # max y0 s.t. 2 y0 <= 1, -y1 <= 2 gives y0 = 1/2, and b1 = 0 leaves
+    # y1 = 0 at the basis the simplex ends in.  Phase 1 stops with the
+    # second artificial basic at zero, and its row's first nonzero entry,
+    # the x1 coefficient -1, is the negative pivot that drives it out.
+    pivots = []
+    real_pivot = simplex._pivot
+
+    def spy(tab, obj, basis, den, pr, pc):
+        pivots.append(tab[pr][pc])
+        return real_pivot(tab, obj, basis, den, pr, pc)
+
+    monkeypatch.setattr(simplex, "_pivot", spy)
+    res = solve_min_geq([[F(2), F(0)], [F(0), F(-1)]], [F(1), F(0)], [F(1), F(2)])
+    assert any(p < 0 for p in pivots)
+    assert res.status == "optimal"
+    assert res.x == [F(1, 2), F(0)]
+    assert res.y == [F(1, 2), F(0)]
+    assert res.objective == F(1, 2)
 
 
 def test_duals_certify():

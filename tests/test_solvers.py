@@ -2,7 +2,10 @@ import math
 import random
 from fractions import Fraction
 
-from expodom.graph import Graph, cycle, path, star
+import pytest
+
+from expodom import solvers
+from expodom.graph import CertificateError, Graph, cycle, path, star
 from expodom.enumeration import trees_up_to
 from expodom.fixtures import (
     fixture_f1,
@@ -181,3 +184,20 @@ def test_forced_vertex_bounds():
         for x in range(t.n):
             forced = domination_with_forced_vertex(t, x)
             assert gamma <= forced <= gamma + 1
+
+
+def test_tampered_witness_raises(monkeypatch):
+    # a cover search or subset search that returns a non-dominating set
+    bad = (1, (0,))
+    monkeypatch.setattr(solvers, "_min_cover", lambda g, targets, forced=(): bad)
+    monkeypatch.setattr(solvers, "_per_component", lambda g, porous_only: bad)
+    g = path(5)
+    for call in (
+        lambda: domination_number(g),
+        lambda: restricted_domination_number(g, [4]),
+        lambda: domination_with_forced_vertex(g, 0),
+        lambda: exponential_domination_number(g),
+        lambda: porous_exponential_domination_number(g),
+    ):
+        with pytest.raises(CertificateError):
+            call()
