@@ -1,9 +1,11 @@
 """Exact dyadic arithmetic.
 
-Every influence weight in this package is a finite sum of powers of 1/2, so
-weights live in the dyadic rationals m * 2**e.  Keeping them in a dedicated
-normalized form (odd mantissa) makes equality and comparison exact and cheap,
-while LP objectives, which are general rationals, use ``fractions.Fraction``.
+Every influence weight in this package is a finite sum of powers of 1/2, a
+dyadic rational m * 2**e.  The sums themselves are done in scaled integers
+by ``weights.influence``; ``Dyadic`` is the type in which they are returned
+(the values of ``WeightProfile`` and of ``TauResult``).  Its normalized form
+(odd mantissa) makes equality and comparison exact and cheap, while LP
+objectives, which are general rationals, use ``fractions.Fraction``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .arith import DYADIC_INF, Dyadic, HALF, ZERO, coeff
+from .arith import DYADIC_INF, Dyadic, HALF
 from .canon import (
     canonical_code,
     canonical_graph,
@@ -45,6 +45,7 @@ from .solvers import (
     exponential_domination_number,
     restricted_domination_number,
 )
+from .weights import influence
 
 
 class OperationNotApplicable(ValueError):
@@ -110,25 +111,20 @@ def _restricted_value(g: Graph, x: int) -> int:
     return _RESTRICTED[key]
 
 
-def _tau_of_set(g: Graph, x: int, dset: set) -> object:
+def _tau_of_set(g: Graph, x: int, dset: set) -> int | None:
     """max over vertices outside the set of (1 - weight) * 2**dist(x, .),
-    or DYADIC_INF when a deficit vertex is unreachable from x."""
-    n = g.n
-    weights = [ZERO] * n
-    for v in dset:
-        bdist = bfs_distances_excluding(g, v, dset - {v})
-        for u in range(n):
-            weights[u] = weights[u] + coeff(bdist[u])
+    times 2**n like the blocked weights it reads; None when a deficit vertex
+    is unreachable from x."""
+    one = 1 << g.n
+    weights = influence(g, dset, True)
     dist_x = bfs_distances_excluding(g, x, dset)
-    worst = ZERO
-    for u in range(n):
-        if u in dset or weights[u] >= 1:
+    worst = 0
+    for u, w in enumerate(weights):
+        if w >= one:  # dominators included: each weighs at least 2
             continue
-        if dist_x[u] == INF:
-            return DYADIC_INF
-        need = (1 - weights[u]) * Dyadic(1, dist_x[u])
-        if worst < need:
-            worst = need
+        if dist_x[u] is INF:
+            return None
+        worst = max(worst, (one - w) << dist_x[u])
     return worst
 
 
@@ -139,17 +135,17 @@ def tau(g: Graph, x: int) -> TauResult:
         raise ValueError(f"vertex {x} out of range")
     limit = _gamma_e_value(g)
     others = [v for v in range(g.n) if v != x]
-    best = DYADIC_INF
+    best: int | None = None
     best_set: tuple[int, ...] | None = None
     for size in range(limit):
         for cand in combinations(others, size):
             value = _tau_of_set(g, x, set(cand))
-            if value < best:
+            if value is not None and (best is None or value < best):
                 best = value
                 best_set = cand
-    if best is DYADIC_INF:
+    if best is None:
         return TauResult(DYADIC_INF, None)
-    return TauResult(best, best_set)
+    return TauResult(Dyadic(best, -g.n), best_set)
 
 
 def _tau_value(g: Graph, x: int) -> object:

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graph import Graph, NotTreeError, all_pairs_distances, is_subcubic_tree
-from .simplex import SimplexSolution, check_min_geq, solve_max_leq, solve_min_geq
-
-INF = math.inf
+from .graph import Graph, NotTreeError, is_subcubic_tree
+from .simplex import check_min_geq, solve_min_geq
+from .weights import porous_rows
 
 
 @dataclass(frozen=True)
@@ -41,19 +40,13 @@ class LpSolution:
     objective: Fraction | None
 
 
-def influence_coefficient(dist) -> Fraction:
-    if dist == INF:
-        return Fraction(0)
-    return Fraction(2) ** (1 - dist)
-
-
 def build_porous_lp(g: Graph) -> LpModel:
-    """One covering row per vertex; unreachable pairs contribute nothing."""
-    dist = all_pairs_distances(g)
-    matrix = tuple(
-        tuple(influence_coefficient(dist[u][v]) for u in range(g.n))
-        for v in range(g.n)
-    )
+    """One covering row per vertex; unreachable pairs contribute nothing.
+
+    The entries are the influence kernel's scaled integers over 2**n.
+    """
+    scale = 1 << g.n
+    matrix = tuple(tuple(Fraction(w, scale) for w in row) for row in porous_rows(g))
     ones = tuple(Fraction(1) for _ in range(g.n))
     return LpModel(matrix, ones, ones)
 
@@ -74,20 +67,6 @@ def solve_exact(model: LpModel) -> LpSolution:
     # primal and dual feasibility and strong duality, exactly
     check_min_geq(model.matrix, model.rhs, model.objective, res)
     return LpSolution("optimal", tuple(res.x), tuple(res.y), res.objective)
-
-
-def solve_dual_direct(model: LpModel) -> SimplexSolution:
-    """Solve the dual (max rhs.y, A^T y <= objective) on its own.
-
-    Debug aid: gives an independent check on the duals that ``solve_exact``
-    extracts from the primal basis.
-    """
-    n = model.size
-    transposed = tuple(
-        tuple(model.matrix[i][j] for i in range(len(model.matrix)))
-        for j in range(n)
-    )
-    return solve_max_leq(transposed, model.objective, model.rhs)
 
 
 @lru_cache(maxsize=4096)
@@ -179,39 +158,3 @@ def bound_subcubic_order(n: int) -> float:
     if n < 1:
         raise ValueError("order must be positive")
     return (math.sqrt(2 * n + 49 / 36) + 7 / 6) / 6
-
-
-def export_cplex_lp(model: LpModel, name: str = "porous") -> str:
-    """Render the model in CPLEX LP text format for external cross-checks.
-
-    All coefficients of the porous LP are dyadic, so exact terminating
-    decimals exist; non-dyadic models are rejected rather than rounded.
-    """
-
-    def dec(q: Fraction) -> str:
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"coefficient {q} has no exact decimal form")
-        shift = den.bit_length() - 1
-        scaled = q.numerator * 5**shift
-        text = str(abs(scaled)).rjust(shift + 1, "0")
-        sign = "-" if scaled < 0 else ""
-        if shift == 0:
-            return f"{sign}{text}"
-        return f"{sign}{text[:-shift] or '0'}.{text[-shift:]}"
-
-    n = model.size
-    lines = [f"\\ {name}: porous exponential domination relaxation", "Minimize"]
-    lines.append(
-        " obj: " + " + ".join(f"{dec(c)} x{j}" for j, c in enumerate(model.objective))
-    )
-    lines.append("Subject To")
-    for i, row in enumerate(model.matrix):
-        terms = " + ".join(
-            f"{dec(c)} x{j}" for j, c in enumerate(row) if c != 0
-        )
-        lines.append(f" c{i}: {terms} >= {dec(model.rhs[i])}")
-    lines.append("Bounds")
-    lines.extend(f" 0 <= x{j}" for j in range(n))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -7,8 +7,9 @@ All searches are exhaustive with pruning, never heuristic:
 * the exponential parameters iterate deepening on the set size k, starting
   at the ceiling of the fractional porous optimum, and scan size-k subsets
   in lexicographic order; candidate sets must pass the cheap porous check
-  (precomputed distance rows, scaled integer arithmetic) before the blocked
-  variant runs its per-dominator BFS.
+  (the rows of ``weights.porous_rows``, summed as the set grows) before the
+  blocked variant runs ``is_exponential_dominating``.  Both read the one
+  integer influence kernel, ``weights.influence``.
 
 Witnesses are therefore always the lexicographically smallest optimum set.
 Disconnected inputs are solved per component and recombined.
@@ -20,20 +21,14 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .graph import (
-    CertificateError,
-    Graph,
-    INF,
-    all_pairs_distances,
-    bfs_distances_excluding,
-    connected_components,
-    induced_subgraph,
-)
+from .graph import CertificateError, Graph, connected_components, induced_subgraph
 from .lp import fractional_porous_number
 from .weights import (
     WeightProfile,
     is_dominating,
+    is_exponential_dominating,
     is_restricted_dominating,
+    porous_rows,
     weight_profile,
 )
 
@@ -88,29 +83,43 @@ def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
         return len(forced_set), forced_set
 
     candidates = [v for v in range(n) if v not in set(forced_set)]
-    suffix = [0] * (len(candidates) + 1)
-    for i in range(len(candidates) - 1, -1, -1):
+    m = len(candidates)
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] | closed[candidates[i]]
-    best_gain = max(m.bit_count() for m in closed) if closed else 1
+    best_gain = max(c.bit_count() for c in closed) if closed else 1
 
-    def dfs(idx: int, slots: int, covered: int):
-        missing = required & ~covered
-        if missing == 0:
-            return ()
-        if slots == 0 or missing & ~suffix[idx]:
-            return None
-        if missing.bit_count() > slots * best_gain:
-            return None
-        for i in range(idx, len(candidates) - slots + 1):
-            v = candidates[i]
-            got = dfs(i + 1, slots - 1, covered | closed[v])
-            if got is not None:
-                return (v,) + got
-        return None
+    def dfs(slots: int, covered: int):
+        """First cover with at most ``slots`` picks, in lexicographic order
+        of candidate positions; depth-first with an explicit stack."""
+        picked: list[tuple[int, int]] = []  # (position, covered before it)
+        pos = 0  # first position the next pick may take
+        while True:
+            missing = required & ~covered
+            if missing == 0:
+                return tuple(candidates[i] for i, _ in picked)
+            left = slots - len(picked)
+            last = m - left  # last position that leaves room for the rest
+            if (
+                not left
+                or missing & ~suffix[pos]
+                or missing.bit_count() > left * best_gain
+            ):
+                last = -1  # pruned: no pick is tried at this depth
+            while pos > last:  # this depth is exhausted: back up one pick
+                if not picked:
+                    return None
+                pos, covered = picked.pop()
+                pos += 1
+                left += 1
+                last = m - left
+            picked.append((pos, covered))
+            covered |= closed[candidates[pos]]
+            pos += 1
 
     lower = max(1, -(-(required & ~base).bit_count() // best_gain))
     for extra in range(lower, len(candidates) + 1):
-        got = dfs(0, extra, base)
+        got = dfs(extra, base)
         if got is not None:
             witness = tuple(sorted(forced_set + got))
             return len(witness), witness
@@ -149,30 +158,6 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
 # -- exponential domination: LP-seeded subset search -------------------------
 
 
-def _scaled_rows(g: Graph):
-    """Porous influence rows scaled to integers: 2**(n+1-d), threshold 2**n."""
-    n = g.n
-    dist = all_pairs_distances(g)
-    rows = []
-    for v in range(n):
-        rows.append(
-            [0 if dist[v][u] == INF else 1 << (n + 1 - dist[v][u]) for u in range(n)]
-        )
-    return rows, 1 << n
-
-
-def _blocked_ok(g: Graph, chosen, threshold: int) -> bool:
-    n = g.n
-    dset = set(chosen)
-    total = [0] * n
-    for v in chosen:
-        bdist = bfs_distances_excluding(g, v, dset - {v})
-        for u in range(n):
-            if bdist[u] != INF:
-                total[u] += 1 << (n + 1 - bdist[u])
-    return min(total) >= threshold
-
-
 def _exponential_search(g: Graph, porous_only: bool, collect_all: bool = False):
     """Smallest k with a feasible size-k set; optionally all size-k witnesses.
 
@@ -180,7 +165,8 @@ def _exponential_search(g: Graph, porous_only: bool, collect_all: bool = False):
     for speed.  Returns (k, first_witness) or (k, [witnesses...]).
     """
     n = g.n
-    rows, threshold = _scaled_rows(g)
+    rows = porous_rows(g)
+    threshold = 1 << n
     suffix_max = [[0] * n for _ in range(n + 1)]
     for v in range(n - 1, -1, -1):
         nxt = suffix_max[v + 1]
@@ -189,7 +175,7 @@ def _exponential_search(g: Graph, porous_only: bool, collect_all: bool = False):
     def accept(weights, chosen) -> bool:
         if min(weights) < threshold:
             return False
-        return porous_only or _blocked_ok(g, chosen, threshold)
+        return porous_only or is_exponential_dominating(g, chosen)
 
     def search(k: int):
         hits = []

@@ -11,14 +11,47 @@ variants differ in the distance used:
 A set D is an exponential dominating set when every vertex has blocked
 weight at least 1, and a porous exponential dominating set when every vertex
 has porous weight at least 1.
+
+Every influence sum in the package goes through ``influence``, which works
+in integers scaled by 2**n for a graph of order n: a dominator at distance
+d adds 1 << (n + 1 - d) (reachable distances are at most n - 1, so the
+shift is positive), and "weight at least 1" reads ``total >= 1 << n``.
+``Dyadic`` values are built only for the returned ``WeightProfile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import Dyadic, ZERO, coeff
-from .graph import Graph, bfs_distances, bfs_distances_excluding
+from .arith import Dyadic
+from .graph import INF, Graph, bfs_distances, bfs_distances_excluding
+
+
+def influence(g: Graph, dominators, blocked: bool) -> list[int]:
+    """Each vertex's blocked (or porous) weight from the set, times 2**g.n.
+
+    Raises ValueError if a dominator is not a vertex of g.
+    """
+    n = g.n
+    dset = set(dominators)
+    if any(not 0 <= v < n for v in dset):
+        raise ValueError("dominator outside the vertex range")
+    total = [0] * n
+    for v in dset:
+        if blocked:
+            dist = bfs_distances_excluding(g, v, dset - {v})
+        else:
+            dist = bfs_distances(g, v)
+        for u, d in enumerate(dist):
+            if d is not INF:
+                total[u] += 1 << (n + 1 - d)
+    return total
+
+
+def porous_rows(g: Graph) -> list[list[int]]:
+    """The porous influence matrix times 2**g.n: row v is the weight that
+    the single dominator v gives every vertex (the matrix is symmetric)."""
+    return [influence(g, (v,), False) for v in range(g.n)]
 
 
 def blocked_distance(g: Graph, dominators, u: int, v: int):
@@ -51,45 +84,24 @@ class WeightProfile:
 
 def weight_profile(g: Graph, dominators) -> WeightProfile:
     """Both weight vectors for the set, via one BFS per dominator and variant."""
-    dset = sorted(set(dominators))
-    if any(not 0 <= v < g.n for v in dset):
-        raise ValueError("dominator outside the vertex range")
-    blocked = [ZERO] * g.n
-    porous = [ZERO] * g.n
-    dall = set(dset)
-    for v in dset:
-        bdist = bfs_distances_excluding(g, v, dall - {v})
-        pdist = bfs_distances(g, v)
-        for u in range(g.n):
-            blocked[u] = blocked[u] + coeff(bdist[u])
-            porous[u] = porous[u] + coeff(pdist[u])
-    return WeightProfile(tuple(dset), tuple(blocked), tuple(porous))
+    dset = tuple(sorted(set(dominators)))
+
+    def weights(blocked: bool) -> tuple[Dyadic, ...]:
+        return tuple(Dyadic(w, -g.n) for w in influence(g, dset, blocked))
+
+    return WeightProfile(dset, weights(True), weights(False))
 
 
 def is_exponential_dominating(g: Graph, dominators) -> bool:
     """True iff every vertex has blocked weight at least 1."""
-    dset = set(dominators)
-    if not dset:
-        return g.n == 0
-    total = [ZERO] * g.n
-    for v in dset:
-        bdist = bfs_distances_excluding(g, v, dset - {v})
-        for u in range(g.n):
-            total[u] = total[u] + coeff(bdist[u])
-    return all(w >= 1 for w in total)
+    one = 1 << g.n
+    return all(w >= one for w in influence(g, dominators, True))
 
 
 def is_porous_exponential_dominating(g: Graph, dominators) -> bool:
     """True iff every vertex has porous weight at least 1."""
-    dset = set(dominators)
-    if not dset:
-        return g.n == 0
-    total = [ZERO] * g.n
-    for v in dset:
-        pdist = bfs_distances(g, v)
-        for u in range(g.n):
-            total[u] = total[u] + coeff(pdist[u])
-    return all(w >= 1 for w in total)
+    one = 1 << g.n
+    return all(w >= one for w in influence(g, dominators, False))
 
 
 def is_dominating(g: Graph, dominators) -> bool:

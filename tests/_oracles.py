@@ -1,17 +1,23 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately avoid the solvers' internals (scaled integers, pruning,
-LP seeding): plain subset scans over the predicate functions, plus random
-graph generators with fixed seeds.
+LP seeding): plain subset scans over the predicate functions, influence
+weights summed from their definition, random graph generators with fixed
+seeds, and two LP helpers only the tests use (the dual solved on its own,
+and a CPLEX LP export for external solvers).
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
 from expodom.enumeration import enumerate_subcubic_trees
 from expodom.graph import Graph
+from expodom.lp import LpModel
+from expodom.simplex import SimplexSolution, solve_max_leq
 from expodom.weights import (
     is_dominating,
     is_exponential_dominating,
@@ -77,3 +83,74 @@ def random_relabel(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def influence_oracle(g: Graph, dominators, blocked: bool) -> list[Fraction]:
+    """Each vertex's weight by definition: the sum over dominators v of
+    (1/2)**(d-1), d the BFS distance from v, through no other dominator
+    when ``blocked``; unreachable vertices get nothing."""
+    dset = set(dominators)
+    total = [Fraction(0)] * g.n
+    for v in dset:
+        avoid = dset - {v} if blocked else set()
+        dist = {v: 0}
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in dist and w not in avoid:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        for u, d in dist.items():
+            total[u] += Fraction(2) ** (1 - d)
+    return total
+
+
+def solve_dual_direct(model: LpModel) -> SimplexSolution:
+    """Solve the dual (max rhs.y, A^T y <= objective) on its own.
+
+    Gives an independent check on the duals that ``solve_exact`` extracts
+    from the primal basis.
+    """
+    n = model.size
+    transposed = tuple(
+        tuple(model.matrix[i][j] for i in range(len(model.matrix)))
+        for j in range(n)
+    )
+    return solve_max_leq(transposed, model.objective, model.rhs)
+
+
+def export_cplex_lp(model: LpModel, name: str = "porous") -> str:
+    """Render the model in CPLEX LP text format for external cross-checks.
+
+    All coefficients of the porous LP are dyadic, so exact terminating
+    decimals exist; non-dyadic models are rejected rather than rounded.
+    """
+
+    def dec(q: Fraction) -> str:
+        den = q.denominator
+        if den & (den - 1):
+            raise ValueError(f"coefficient {q} has no exact decimal form")
+        shift = den.bit_length() - 1
+        scaled = q.numerator * 5**shift
+        text = str(abs(scaled)).rjust(shift + 1, "0")
+        sign = "-" if scaled < 0 else ""
+        if shift == 0:
+            return f"{sign}{text}"
+        return f"{sign}{text[:-shift] or '0'}.{text[-shift:]}"
+
+    n = model.size
+    lines = [f"\\ {name}: porous exponential domination relaxation", "Minimize"]
+    lines.append(
+        " obj: " + " + ".join(f"{dec(c)} x{j}" for j, c in enumerate(model.objective))
+    )
+    lines.append("Subject To")
+    for i, row in enumerate(model.matrix):
+        terms = " + ".join(
+            f"{dec(c)} x{j}" for j, c in enumerate(row) if c != 0
+        )
+        lines.append(f" c{i}: {terms} >= {dec(model.rhs[i])}")
+    lines.append("Bounds")
+    lines.extend(f" 0 <= x{j}" for j in range(n))
+    lines.append("End")
+    return "\n".join(lines) + "\n"

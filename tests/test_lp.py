@@ -30,13 +30,11 @@ from expodom.lp import (
     bound_subcubic_order,
     build_porous_lp,
     canonical_tree_solution,
-    export_cplex_lp,
     fractional_porous_number,
-    solve_dual_direct,
     solve_exact,
 )
 
-from _oracles import random_subcubic_graph
+from _oracles import export_cplex_lp, random_subcubic_graph, solve_dual_direct
 
 F = Fraction
 

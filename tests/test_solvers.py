@@ -41,6 +41,14 @@ def test_gamma_examples():
     assert domination_number(fixture_f1(1)).value == 3
 
 
+def test_gamma_long_path_has_no_recursion_limit():
+    # 1034 dominators: deeper than the default recursion limit
+    g = path(3100)
+    cert = domination_number(g)
+    assert cert.value == 1034
+    assert is_dominating(g, cert.witness)
+
+
 def test_restricted_examples():
     assert restricted_domination_number(Graph(1), ()).value == 0
     assert restricted_domination_number(path(3), range(3)).value == 1

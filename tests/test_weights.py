@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expodom.arith import to_rational
 from expodom.graph import INF, path, star
@@ -22,7 +23,7 @@ from expodom.weights import (
     weight_profile,
 )
 
-from _oracles import random_subcubic_graph
+from _oracles import influence_oracle, random_subcubic_graph
 
 
 def test_blocked_distance_internal_dominator_blocks():
@@ -131,3 +132,29 @@ def test_exponential_implies_porous():
 def test_profile_rejects_out_of_range():
     with pytest.raises(ValueError):
         weight_profile(path(3), {5})
+
+
+@pytest.mark.parametrize(
+    "check",
+    [weight_profile, is_exponential_dominating, is_porous_exponential_dominating],
+)
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_out_of_range_dominator_rejected(check, bad):
+    # -1 must not wrap around to the last vertex of path(2)
+    with pytest.raises(ValueError):
+        check(path(2), {bad})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_weights_match_definition(seed):
+    rng = random.Random(seed)
+    g = random_subcubic_graph(rng)
+    dom = rng.sample(range(g.n), rng.randint(0, g.n))
+    blocked = influence_oracle(g, dom, blocked=True)
+    porous = influence_oracle(g, dom, blocked=False)
+    prof = weight_profile(g, dom)
+    assert [to_rational(w) for w in prof.blocked] == blocked
+    assert [to_rational(w) for w in prof.porous] == porous
+    assert is_exponential_dominating(g, dom) == all(w >= 1 for w in blocked)
+    assert is_porous_exponential_dominating(g, dom) == all(w >= 1 for w in porous)
