@@ -3,7 +3,9 @@
 Subcommands: compute, enumerate, tau, family, verify, conjecture, fixture.
 All results are JSON on stdout (rationals as {"num", "den"} decimal strings)
 so identical invocations produce byte-identical output.  Exit codes: 0
-success, 2 suite violations, 64 usage errors, 65 malformed or oversized data.
+success, 2 suite violations, 64 usage errors, 65 malformed or oversized data,
+70 an internal certificate check failed (a bug: a computed optimum did not
+pass its own re-check).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .enumeration import enumerate_subcubic_trees
 from .family import generate_family, recognize, tau
 from .fixtures import get_fixture
 from .graph import (
+    CertificateError,
     Graph,
     NotSubcubicError,
     NotTreeError,
@@ -39,6 +42,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 SIZE_GUARD = 26
 
@@ -259,6 +263,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"expodom: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except CertificateError as exc:
+        print(f"expodom: certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def entry() -> None:

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from multiprocessing import get_context
 from typing import Callable
 
 from .canon import canonical_code, tree_isomorphism_map
@@ -342,6 +341,9 @@ def _mp_item(args):
 def _run_per_graph(check_id: str, corpus: list[Graph], jobs: int) -> list[list[tuple]]:
     items = [(check_id, emit_graph6(g)) for g in corpus]
     if jobs > 1 and len(items) > 1:
+        # imported here: at module level it adds about 10 ms to every start
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(jobs) as pool:
             return pool.map(_mp_item, items)
     return [_mp_item(item) for item in items]

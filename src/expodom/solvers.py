@@ -11,6 +11,18 @@ All searches are exhaustive with pruning, never heuristic:
   blocked variant runs ``is_exponential_dominating``.  Both read the one
   integer influence kernel, ``weights.influence``.
 
+The subset search packs each weight vector into one int, a field of
+``width = n + (2n).bit_length() + 1`` bits per vertex, so a search node
+costs one big-int add.  A field holds at most k dominators' weight, each at
+most 2 * 2**n, so it stays at or below n * 2**(n+1) < 2**(width-1) and no
+sum carries into the next field.  A node is pruned when some vertex cannot
+reach weight 1 even if every remaining pick gave it the most any later
+vertex can (``w + slots * suffix_max`` below 2**n in some field); since
+the suffix maxima are non-negative this is the same per-vertex inequality
+as testing the vertex's own weight first, so the search visits the same
+nodes in the same order.  The prune and the leaf test share one carry test
+for "every field is at least 2**n".
+
 Witnesses are therefore always the lexicographically smallest optimum set.
 Disconnected inputs are solved per component and recombined.
 """
@@ -82,7 +94,8 @@ def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
     if required & ~base == 0:
         return len(forced_set), forced_set
 
-    candidates = [v for v in range(n) if v not in set(forced_set)]
+    skip = set(forced_set)
+    candidates = [v for v in range(n) if v not in skip]
     m = len(candidates)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -165,46 +178,56 @@ def _exponential_search(g: Graph, porous_only: bool, collect_all: bool = False):
     for speed.  Returns (k, first_witness) or (k, [witnesses...]).
     """
     n = g.n
-    rows = porous_rows(g)
-    threshold = 1 << n
-    suffix_max = [[0] * n for _ in range(n + 1)]
-    for v in range(n - 1, -1, -1):
-        nxt = suffix_max[v + 1]
-        suffix_max[v] = [max(a, b) for a, b in zip(nxt, rows[v])]
+    # Each weight vector is one int, vertex u's scaled weight in the field of
+    # bits [u * width, (u + 1) * width).  A field never exceeds
+    # k * 2**(n + 1) <= n * 2**(n + 1) < 2**(width - 1) (at most k dominators,
+    # each worth at most 2 * 2**n), so no sum below carries across a field.
+    width = n + (2 * n).bit_length() + 1
 
-    def accept(weights, chosen) -> bool:
-        if min(weights) < threshold:
-            return False
-        return porous_only or is_exponential_dominating(g, chosen)
+    def pack(vector) -> int:
+        return sum(w << (u * width) for u, w in enumerate(vector))
+
+    rows = porous_rows(g)
+    prow = [pack(row) for row in rows]
+    suffix_max = [0] * n
+    psuf = [0] * (n + 1)
+    for v in range(n - 1, -1, -1):
+        suffix_max = [max(a, b) for a, b in zip(suffix_max, rows[v])]
+        psuf[v] = pack(suffix_max)
+    # Field-wise "weight >= 2**n": shifted down by n, a field keeps its
+    # quotient (< 2**(width - n - 1)) under ``low``, and adding ``low``
+    # carries into the field's ``top`` bit exactly when that quotient is at
+    # least 1.
+    low = pack([(1 << (width - n - 1)) - 1] * n)
+    top = pack([1 << (width - n - 1)] * n)
+
+    def covered(x: int) -> bool:
+        return (((x >> n) & low) + low) & top == top
 
     def search(k: int):
         hits = []
 
-        def rec(start: int, slots: int, weights, chosen):
-            if slots == 0:
-                if accept(weights, chosen):
-                    hits.append(tuple(chosen))
-                    return not collect_all
+        def rec(start: int, slots: int, w: int, chosen):
+            if not covered(w + slots * psuf[start]):
                 return False
-            smax = suffix_max[start]
-            for u in range(n):
-                w = weights[u]
-                if w < threshold and w + slots * smax[u] < threshold:
-                    return False
+            if slots == 1:
+                for v in range(start, n):
+                    if covered(w + prow[v]) and (
+                        porous_only or is_exponential_dominating(g, chosen + [v])
+                    ):
+                        hits.append((*chosen, v))
+                        if not collect_all:
+                            return True
+                return False
             for v in range(start, n - slots + 1):
                 chosen.append(v)
-                stop = rec(
-                    v + 1,
-                    slots - 1,
-                    [a + b for a, b in zip(weights, rows[v])],
-                    chosen,
-                )
+                stop = rec(v + 1, slots - 1, w + prow[v], chosen)
                 chosen.pop()
                 if stop:
                     return True
             return False
 
-        rec(0, k, [0] * n, [])
+        rec(0, k, 0, [])
         return hits
 
     k0 = max(1, math.ceil(fractional_porous_number(g)))

@@ -54,11 +54,32 @@ def brute_gamma_e_star(g: Graph) -> int:
 
 
 def random_subcubic_graph(rng: random.Random, n_max: int = 10) -> Graph:
-    """A random subcubic graph: a random enumerated tree plus a few extra
-    degree-respecting edges (possibly disconnecting nothing, possibly cyclic)."""
+    """A random subcubic graph: a random enumerated tree of order at most
+    ``n_max`` with edges added and dropped by ``_add_and_drop_edges``."""
     n = rng.randint(1, n_max)
     pool = list(enumerate_subcubic_trees(n))
-    t = rng.choice(pool)
+    return _add_and_drop_edges(rng, rng.choice(pool))
+
+
+def random_subcubic_graph_of_order(rng: random.Random, n: int) -> Graph:
+    """A random subcubic graph on exactly n vertices, for orders too large to
+    enumerate: a random tree grown by attaching each new vertex to an
+    earlier one of degree below 3, randomly relabeled, then edges added and
+    dropped as in ``random_subcubic_graph``."""
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = rng.choice([w for w in range(v) if deg[w] < 3])
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    return _add_and_drop_edges(rng, random_relabel(rng, Graph(n, edges)))
+
+
+def _add_and_drop_edges(rng: random.Random, t: Graph) -> Graph:
+    """``t`` plus up to two extra degree-respecting edges (possibly cyclic),
+    then with probability 0.3 one edge fewer (possibly disconnected)."""
+    n = t.n
     edges = t.edges()
     present = set(edges)
     deg = [t.degree(v) for v in range(n)]

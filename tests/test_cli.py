@@ -173,3 +173,27 @@ def test_fixture_cli(capsys):
     assert code == 0
     assert out.startswith("n 22")
     assert run_cli(capsys, "fixture", "--id", "f9")[0] == 64
+
+
+def test_compute_force_above_size_guard(tmp_path, capsys):
+    # n = 27 > SIZE_GUARD: the widest packed weight fields the tests reach
+    src = write_graph(tmp_path, path(27))
+    code, out, _ = run_cli(capsys, "compute", src, "--force")
+    assert code == 0
+    data = json.loads(out)
+    assert data["gamma_e"] == data["gamma_e_star"] == 7
+    assert data["gamma_e_witness"] == [1, 5, 9, 13, 17, 21, 25]
+    assert data["gamma_e_star_witness"] == [1, 5, 9, 13, 17, 21, 25]
+
+
+def test_certificate_error_exit(capsys, monkeypatch):
+    # a search that hands back a non-dominating witness must not end in a traceback
+    from expodom import solvers
+
+    monkeypatch.setattr(solvers, "_per_component", lambda g, porous_only: (1, (0,)))
+    code, out, err = run_cli(capsys, "compute", "--fixture", "f2")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("expodom: certificate check failed:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

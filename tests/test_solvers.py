@@ -1,11 +1,21 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expodom import solvers
-from expodom.graph import CertificateError, Graph, cycle, path, star
+from expodom.graph import (
+    CertificateError,
+    Graph,
+    connected_components,
+    cycle,
+    path,
+    star,
+)
+from expodom.graph6 import emit_graph6
 from expodom.enumeration import trees_up_to
 from expodom.fixtures import (
     fixture_f1,
@@ -31,7 +41,9 @@ from expodom.weights import (
 from _oracles import (
     brute_all_minimum,
     brute_minimum,
+    random_relabel,
     random_subcubic_graph,
+    random_subcubic_graph_of_order,
 )
 
 
@@ -105,18 +117,24 @@ def test_against_bruteforce_trees():
         assert (got.value, got.witness) == (want_p, wit_p)
 
 
+def _exponential_pair(g):
+    return exponential_domination_number(g), porous_exponential_domination_number(g)
+
+
+def _check_exponential_against_bruteforce(g):
+    # same value and the same lexicographically first witness
+    ge, ges = _exponential_pair(g)
+    assert (ge.value, ge.witness) == brute_minimum(g, is_exponential_dominating)
+    assert (ges.value, ges.witness) == brute_minimum(
+        g, is_porous_exponential_dominating
+    )
+
+
 def test_against_bruteforce_cycles():
     for k in range(3, 11):
         g = cycle(k)
         assert domination_number(g).value == brute_minimum(g, is_dominating)[0]
-        assert (
-            exponential_domination_number(g).value
-            == brute_minimum(g, is_exponential_dominating)[0]
-        )
-        assert (
-            porous_exponential_domination_number(g).value
-            == brute_minimum(g, is_porous_exponential_dominating)[0]
-        )
+        _check_exponential_against_bruteforce(g)
 
 
 def test_against_bruteforce_random_graphs():
@@ -126,14 +144,7 @@ def test_against_bruteforce_random_graphs():
         if g.n == 0:
             continue
         assert domination_number(g).value == brute_minimum(g, is_dominating)[0]
-        assert (
-            exponential_domination_number(g).value
-            == brute_minimum(g, is_exponential_dominating)[0]
-        )
-        assert (
-            porous_exponential_domination_number(g).value
-            == brute_minimum(g, is_porous_exponential_dominating)[0]
-        )
+        _check_exponential_against_bruteforce(g)
 
 
 def test_all_minimum_porous_matches_bruteforce():
@@ -209,3 +220,73 @@ def test_tampered_witness_raises(monkeypatch):
     ):
         with pytest.raises(CertificateError):
             call()
+
+
+# sha256 over (value, witness) of gamma_e and gamma_e_star and over
+# all_minimum_porous_sets on _search_corpus(), computed with the earlier
+# subset search that added plain int lists per node.  Equal digests mean the
+# same optima and the same lexicographically first witnesses on every graph.
+PINNED_SEARCH_DIGEST = "672da8a50bb7e2d96b390725963ac37121f41414dab79c2e0debbaceb91f9937"
+
+
+def _search_corpus():
+    rng = random.Random(2016)
+    graphs = [random_subcubic_graph(rng, 12) for _ in range(60)]
+    graphs += [
+        random_subcubic_graph_of_order(rng, rng.randint(13, 20)) for _ in range(40)
+    ]
+    return graphs
+
+
+def test_exponential_search_pinned_values():
+    digest = hashlib.sha256()
+    cyclic = disconnected = 0
+    for g in _search_corpus():
+        parts = len(connected_components(g))
+        cyclic += len(g.edges()) > g.n - parts
+        disconnected += parts > 1
+        ge, ges = _exponential_pair(g)
+        line = " ".join(
+            [emit_graph6(g), str(ge.value), repr(ge.witness), "|",
+             str(ges.value), repr(ges.witness), "|",
+             *map(repr, all_minimum_porous_sets(g))]
+        )
+        digest.update(line.encode() + b"\n")
+    assert (cyclic, disconnected) == (33, 33)
+    assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(1),
+        Graph(2),
+        path(2),
+        Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),  # K4
+        Graph(6, [(1, 2), (2, 3)]),  # three isolated vertices
+    ],
+    ids=["K1", "2K1", "K2", "K4", "P3+3K1"],
+)
+def test_exponential_search_small_field_widths(g):
+    _check_exponential_against_bruteforce(g)
+    _, want = brute_all_minimum(g, is_porous_exponential_dominating)
+    assert all_minimum_porous_sets(g) == sorted(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32))
+def test_parameter_chain_and_relabeling(seed):
+    rng = random.Random(seed)
+    g = random_subcubic_graph(rng)
+    h = random_relabel(rng, g)
+    values = []
+    for graph in (g, h):
+        gam = domination_number(graph)
+        ge, ges = _exponential_pair(graph)
+        lp = fractional_porous_number(graph)
+        assert lp <= ges.value <= ge.value <= gam.value
+        assert is_dominating(graph, gam.witness)
+        assert is_exponential_dominating(graph, ge.witness)
+        assert is_porous_exponential_dominating(graph, ges.witness)
+        values.append((lp, ges.value, ge.value, gam.value))
+    assert values[0] == values[1]
