@@ -1,15 +1,20 @@
 """Canonical forms for trees.
 
 Center-rooted AHU encodings: two trees get the same code exactly when they
-are isomorphic.  The same machinery yields a canonical relabeling (used to
-emit deterministic representatives), explicit isomorphism maps between trees,
-and automorphism counts (used by the labeled-count enumeration oracle).
+are isomorphic.  One iterative walk does all the work: a BFS from the center
+(or from both centers, each seeded as the other's parent), then each
+vertex's code ``(`` + its children's codes in sorted order + ``)``, built in
+reverse BFS order, so no depth of tree can exhaust the call stack.  The same
+codes order every vertex's children for a canonical relabeling (used to emit
+deterministic representatives) and explicit isomorphism maps between trees,
+and their multiplicities give automorphism counts (used by the labeled-count
+enumeration oracle).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter
 
 from .graph import Graph, NotTreeError, is_tree, relabel
 
@@ -36,12 +41,30 @@ def tree_centers(g: Graph) -> list[int]:
     return sorted(leaves)
 
 
-def _rooted_code(g: Graph, root: int, parent: int) -> bytes:
-    children = [v for v in g.adj[root] if v != parent]
-    if not children:
-        return b"()"
-    codes = sorted(_rooted_code(g, v, root) for v in children)
-    return b"(" + b"".join(codes) + b")"
+def _walk(g: Graph, roots: list[int]) -> tuple[list[int], list[bytes]]:
+    """One BFS from ``roots``, then AHU codes built leaves-up.
+
+    Returns each vertex's parent (-1 for a lone root) and the code of the
+    subtree hanging from each vertex away from its parent.  Two roots are
+    seeded as each other's parent, so both halves of a two-center tree come
+    out of the same walk.
+    """
+    parent = [-1] * g.n
+    if len(roots) == 2:
+        a, b = roots
+        parent[a], parent[b] = b, a
+    order = list(roots)
+    for u in order:
+        for v in g.adj[u]:
+            if v != parent[u]:
+                parent[v] = u
+                order.append(v)
+    code = [b""] * g.n
+    for u in reversed(order):
+        p = parent[u]
+        children = sorted([code[v] for v in g.adj[u] if v != p])
+        code[u] = b"(" + b"".join(children) + b")"
+    return parent, code
 
 
 def rooted_code(g: Graph, root: int) -> bytes:
@@ -49,24 +72,26 @@ def rooted_code(g: Graph, root: int) -> bytes:
     rooted isomorphism, so it doubles as a vertex-orbit key."""
     if not is_tree(g):
         raise NotTreeError("rooted codes are defined for trees only")
-    return _rooted_code(g, root, -1)
+    return _walk(g, [root])[1][root]
 
 
-def _best_root(g: Graph) -> tuple[bytes, int]:
-    best_code = None
-    best_root = -1
-    for c in tree_centers(g):
-        code = _rooted_code(g, c, -1)
-        if best_code is None or code < best_code:
-            best_code, best_root = code, c
-    return best_code, best_root
+def _center_walk(g: Graph):
+    """The walk from the tree's centers, plus the canonical root and code:
+    the center whose rooted code is smallest (the lower id on a tie)."""
+    centers = tree_centers(g)
+    parent, code = _walk(g, centers)
+    full, root = min(
+        (b"(" + b"".join(sorted([code[v] for v in g.adj[c]])) + b")", c)
+        for c in centers
+    )
+    return full, root, parent, code
 
 
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant code: equal codes iff isomorphic trees."""
     if not is_tree(g):
         raise NotTreeError("canonical codes are defined for trees only")
-    return _best_root(g)[0]
+    return _center_walk(g)[0]
 
 
 def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
@@ -77,26 +102,13 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     """
     if not is_tree(g):
         raise NotTreeError("canonical order is defined for trees only")
-    code, root = _best_root(g)
-    sub: dict[tuple[int, int], bytes] = {}
-
-    def fill(u: int, parent: int) -> bytes:
-        children = [v for v in g.adj[u] if v != parent]
-        c = b"(" + b"".join(sorted(fill(v, u) for v in children)) + b")"
-        sub[(u, parent)] = c
-        return c
-
-    fill(root, -1)
-    order = []
-    queue = deque([(root, -1)])
-    while queue:
-        u, parent = queue.popleft()
-        order.append(u)
-        children = sorted(
-            (v for v in g.adj[u] if v != parent),
-            key=lambda v: sub[(v, u)],
+    code, root, parent, sub = _center_walk(g)
+    parent[root] = -1  # a second center becomes the root's child
+    order = [root]
+    for u in order:
+        order.extend(
+            sorted((v for v in g.adj[u] if v != parent[u]), key=sub.__getitem__)
         )
-        queue.extend((v, u) for v in children)
     return code, order
 
 
@@ -120,36 +132,22 @@ def tree_isomorphism_map(a: Graph, b: Graph):
     return mapping
 
 
-def _rooted_aut(g: Graph, root: int, parent: int) -> tuple[bytes, int]:
-    children = [v for v in g.adj[root] if v != parent]
-    if not children:
-        return b"()", 1
-    pairs = sorted(_rooted_aut(g, v, root) for v in children)
-    count = 1
-    run = 1
-    for i, (code, aut) in enumerate(pairs):
-        count *= aut
-        if i > 0 and code == pairs[i - 1][0]:
-            run += 1
-        else:
-            run = 1
-        count *= run
-    return b"(" + b"".join(code for code, _ in pairs) + b")", count
-
-
 def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group of a tree."""
+    """Order of the automorphism group of a tree: the product, over every
+    vertex, of the factorials of the multiplicities of its children's codes,
+    doubled when the two halves of a two-center tree are alike."""
     if not is_tree(g):
         raise NotTreeError("automorphism counts implemented for trees only")
     centers = tree_centers(g)
-    if len(centers) == 1:
-        return _rooted_aut(g, centers[0], -1)[1]
-    c1, c2 = centers
-    code1, aut1 = _rooted_aut(g, c1, c2)
-    code2, aut2 = _rooted_aut(g, c2, c1)
-    if code1 == code2:
-        return 2 * aut1 * aut2
-    return aut1 * aut2
+    parent, code = _walk(g, centers)
+    count = 1
+    for u in range(g.n):
+        p = parent[u]
+        for k in Counter([code[v] for v in g.adj[u] if v != p]).values():
+            count *= math.factorial(k)
+    if len(centers) == 2 and code[centers[0]] == code[centers[1]]:
+        count *= 2
+    return count
 
 
 def labeled_copies(g: Graph) -> int:

@@ -155,6 +155,13 @@ def _cmd_family(args) -> int:
         args.input = args.recognize
         g = _load_graph(args)
         args.input = saved_input
+        if g.n > SIZE_GUARD:
+            print(
+                f"refusing recognition at n={g.n} > {SIZE_GUARD}: "
+                "its tau searches are exponential",
+                file=sys.stderr,
+            )
+            return EXIT_DATA
         trace = recognize(g)
         payload = {
             "member": trace is not None,

@@ -1,9 +1,14 @@
 """Exhaustive enumeration of non-isomorphic subcubic trees.
 
-The generator walks all rooted-tree level sequences (Beyer-Hedetniemi
-successor order), filters to maximum degree 3, and deduplicates with the
-canonical tree code.  Its correctness is anchored by two independent
-Prufer-sequence oracles rather than by trusting the generator:
+The classes of order n are grown from those of order n-1: hang one new leaf
+at every vertex of degree at most 2 of every representative, deduplicate by
+canonical tree code, and canonize only the codes not seen before.  This
+misses no class.  Removing any leaf from a subcubic tree of order n >= 2
+leaves a subcubic tree of order n-1 in which the leaf's neighbour had degree
+at most 2; that smaller tree is isomorphic to an enumerated representative,
+and hanging the leaf back at the neighbour's image rebuilds the tree.
+The counts are still checked by two independent Prufer-sequence oracles
+rather than by trusting the generator:
 
 * a literal oracle that decodes every degree-bounded Prufer sequence and
   deduplicates the resulting labeled trees by canonical code, and
@@ -15,59 +20,33 @@ Prufer-sequence oracles rather than by trusting the generator:
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterator
 
 from .canon import canonical_code, canonical_graph, labeled_copies
-from .graph import Graph
+from .graph import Graph, add_pendant_path
+
+# the classes of each order grown so far, sorted by canonical code; a
+# concurrent fill stores an equal value, so races are benign
+_CLASSES: dict[int, tuple[Graph, ...]] = {1: (Graph(1),)}
 
 
-def rooted_level_sequences(n: int) -> Iterator[list[int]]:
-    """Level sequences of all rooted trees on n nodes, root at level 1."""
-    if n < 1:
-        return
-    levels = list(range(1, n + 1))
-    while True:
-        yield levels[:]
-        p = -1
-        for i in range(n - 1, -1, -1):
-            if levels[i] > 2:
-                p = i
-                break
-        if p < 0:
-            return
-        q = -1
-        for i in range(p - 1, -1, -1):
-            if levels[i] == levels[p] - 1:
-                q = i
-                break
-        span = p - q
-        for i in range(p, n):
-            levels[i] = levels[i - span]
-
-
-def tree_from_level_sequence(levels: list[int]) -> Graph:
-    n = len(levels)
-    edges = []
-    latest: dict[int, int] = {}
-    for i, lvl in enumerate(levels):
-        if i:
-            edges.append((latest[lvl - 1], i))
-        latest[lvl] = i
-    return Graph(n, edges)
-
-
-@lru_cache(maxsize=None)
 def _subcubic_trees_cached(n: int) -> tuple[Graph, ...]:
-    seen: dict[bytes, Graph] = {}
-    for levels in rooted_level_sequences(n):
-        t = tree_from_level_sequence(levels)
-        if t.max_degree() > 3:
+    """The classes of order n, growing each missing order from the one below:
+    one new leaf at every vertex of degree at most 2, deduplicated by code."""
+    for order in range(2, n + 1):
+        if order in _CLASSES:
             continue
-        code = canonical_code(t)
-        if code not in seen:
-            seen[code] = canonical_graph(t)
-    return tuple(seen[code] for code in sorted(seen))
+        seen: dict[bytes, Graph] = {}
+        for t in _CLASSES[order - 1]:
+            for x in range(t.n):
+                if t.degree(x) > 2:
+                    continue
+                grown = add_pendant_path(t, x, 1)
+                code = canonical_code(grown)
+                if code not in seen:
+                    seen[code] = canonical_graph(grown)
+        _CLASSES[order] = tuple(seen[code] for code in sorted(seen))
+    return _CLASSES.get(n, ())
 
 
 def enumerate_subcubic_trees(n: int) -> Iterator[Graph]:

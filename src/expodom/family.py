@@ -334,12 +334,10 @@ def generate_family(n_max: int) -> Iterator[Graph]:
                     continue
                 if not _APPLICABLE[op](g, x):
                     continue
-                grown = canonical_graph(add_pendant_path(g, x, op))
+                grown = add_pendant_path(g, x, op)
                 code = canonical_code(grown)
                 if code not in members:
-                    members[code] = grown
-                    queue.append(grown)
-    ordered = sorted(
-        members.values(), key=lambda t: (t.n, canonical_code(t))
-    )
-    yield from ordered
+                    members[code] = canonical_graph(grown)
+                    queue.append(members[code])
+    for _, t in sorted(members.items(), key=lambda item: (item[1].n, item[0])):
+        yield t

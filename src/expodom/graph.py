@@ -13,6 +13,10 @@ from typing import Iterable
 
 INF = math.inf
 
+# the largest order graph6 writes with its 4-byte order prefix; one more
+# would start the prefix with "~~", the marker of the 8-byte form
+MAX_ORDER = 258047
+
 
 class ParseError(ValueError):
     """Malformed graph input (edge list or graph6)."""
@@ -95,7 +99,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" lines; '#' starts a comment.
 
     An optional first data line "n <k>" fixes the vertex count; otherwise it
-    is one more than the largest id seen.
+    is one more than the largest id seen.  Orders above MAX_ORDER are
+    refused.
     """
     declared_n: int | None = None
     edges: list[tuple[int, int]] = []
@@ -110,6 +115,10 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise ParseError(f"line {lineno}: malformed header {line!r}")
             declared_n = int(tokens[1])
+            if declared_n > MAX_ORDER:
+                raise ParseError(
+                    f"line {lineno}: n={declared_n} above the order limit {MAX_ORDER}"
+                )
             saw_data = True
             continue
         saw_data = True
@@ -123,6 +132,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"line {lineno}: negative vertex id in {line!r}")
         if u == v:
             raise ParseError(f"line {lineno}: self-loop at vertex {u}")
+        if max(u, v) >= MAX_ORDER:
+            raise ParseError(
+                f"line {lineno}: vertex id above the order limit {MAX_ORDER}"
+            )
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise ParseError(
                 f"line {lineno}: vertex id >= declared n={declared_n}"

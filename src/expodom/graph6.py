@@ -1,8 +1,8 @@
-"""graph6 codec for simple undirected graphs (orders up to 2**18)."""
+"""graph6 codec for simple undirected graphs (orders up to MAX_ORDER)."""
 
 from __future__ import annotations
 
-from .graph import Graph, ParseError
+from .graph import MAX_ORDER, Graph, ParseError
 
 _HEADER = ">>graph6<<"
 
@@ -10,8 +10,8 @@ _HEADER = ">>graph6<<"
 def emit_graph6(g: Graph) -> str:
     """Encode a graph in graph6: order prefix, then upper-triangle bits."""
     n = g.n
-    if n > 1 << 18:
-        raise ValueError(f"graph6 output capped at 2**18 vertices, got {n}")
+    if n > MAX_ORDER:
+        raise ValueError(f"graph6 output capped at {MAX_ORDER} vertices, got {n}")
     if n <= 62:
         prefix = chr(n + 63)
     else:
@@ -50,7 +50,7 @@ def parse_graph6(text: str) -> Graph:
         body = s[1:]
     else:
         if len(s) >= 2 and s[1] == "~":
-            raise ParseError("graph6 orders above 2**18 are not supported")
+            raise ParseError(f"graph6 orders above {MAX_ORDER} are not supported")
         if len(s) < 4:
             raise ParseError("truncated graph6 order field")
         n = 0

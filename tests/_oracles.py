@@ -3,7 +3,7 @@
 These deliberately avoid the solvers' internals (scaled integers, pruning,
 LP seeding): plain subset scans over the predicate functions, influence
 weights summed from their definition, random graph generators with fixed
-seeds, and two LP helpers only the tests use (the dual solved on its own,
+seeds, a Hypothesis strategy for arbitrary graphs, and two LP helpers only the tests use (the dual solved on its own,
 and a CPLEX LP export for external solvers).
 """
 
@@ -13,6 +13,8 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+
+from hypothesis import strategies as st
 
 from expodom.enumeration import enumerate_subcubic_trees
 from expodom.graph import Graph
@@ -61,11 +63,10 @@ def random_subcubic_graph(rng: random.Random, n_max: int = 10) -> Graph:
     return _add_and_drop_edges(rng, rng.choice(pool))
 
 
-def random_subcubic_graph_of_order(rng: random.Random, n: int) -> Graph:
-    """A random subcubic graph on exactly n vertices, for orders too large to
-    enumerate: a random tree grown by attaching each new vertex to an
-    earlier one of degree below 3, randomly relabeled, then edges added and
-    dropped as in ``random_subcubic_graph``."""
+def random_subcubic_tree(rng: random.Random, n: int) -> Graph:
+    """A random subcubic tree on exactly n vertices, for orders too large to
+    enumerate: each new vertex attaches to an earlier one of degree below 3,
+    then the tree is randomly relabeled."""
     deg = [0] * n
     edges = []
     for v in range(1, n):
@@ -73,7 +74,13 @@ def random_subcubic_graph_of_order(rng: random.Random, n: int) -> Graph:
         edges.append((u, v))
         deg[u] += 1
         deg[v] += 1
-    return _add_and_drop_edges(rng, random_relabel(rng, Graph(n, edges)))
+    return random_relabel(rng, Graph(n, edges))
+
+
+def random_subcubic_graph_of_order(rng: random.Random, n: int) -> Graph:
+    """A random subcubic graph on exactly n vertices: ``random_subcubic_tree``
+    with edges added and dropped as in ``random_subcubic_graph``."""
+    return _add_and_drop_edges(rng, random_subcubic_tree(rng, n))
 
 
 def _add_and_drop_edges(rng: random.Random, t: Graph) -> Graph:
@@ -104,6 +111,16 @@ def random_relabel(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    """Hypothesis strategy: any simple graph of order 0..max_n, its edge set
+    drawn as one bit mask over the vertex pairs."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def influence_oracle(g: Graph, dominators, blocked: bool) -> list[Fraction]:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -7,15 +8,18 @@ from expodom.canon import (
     automorphism_count,
     canonical_code,
     canonical_graph,
+    canonical_order,
     labeled_copies,
     rooted_code,
     tree_isomorphism_map,
 )
-from expodom.graph import Graph, NotTreeError, cycle, path, star
+from expodom.graph import Graph, NotTreeError, cycle, delete_vertices, path, star
 from expodom.enumeration import enumerate_subcubic_trees, trees_up_to
+from expodom.family import generate_family
 from expodom.fixtures import fixture_f1
+from expodom.graph6 import emit_graph6
 
-from _oracles import random_relabel
+from _oracles import random_relabel, random_subcubic_tree
 
 
 def test_code_invariant_under_relabeling():
@@ -85,6 +89,108 @@ def test_automorphism_count_vs_bruteforce():
             assert automorphism_count(t) == brute_aut(t)
 
 
+def _to_networkx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+def _move_a_leaf(rng, t):
+    """``t`` with one leaf re-hung at a random vertex of degree at most 2:
+    sometimes isomorphic to ``t``, mostly a near miss."""
+    leaf = rng.choice([v for v in range(t.n) if t.degree(v) == 1])
+    rest, _ = delete_vertices(t, [leaf])
+    x = rng.choice([v for v in range(rest.n) if rest.degree(v) <= 2])
+    return Graph(t.n, rest.edges() + [(x, rest.n)])
+
+
+def test_automorphism_count_vs_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for t in trees_up_to(10):
+        h = _to_networkx(nx, t)
+        want = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        assert automorphism_count(t) == want
+
+
+def test_codes_agree_with_networkx_isomorphism():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1986)
+    outcomes = set()
+    for _ in range(80):
+        a = random_subcubic_tree(rng, rng.randint(20, 120))
+        kind = rng.randrange(3)
+        if kind == 0:
+            b = random_relabel(rng, a)
+        elif kind == 1:
+            b = random_relabel(rng, _move_a_leaf(rng, a))
+        else:
+            b = random_subcubic_tree(rng, a.n)
+        same = canonical_code(a) == canonical_code(b)
+        assert same == nx.is_isomorphic(_to_networkx(nx, a), _to_networkx(nx, b))
+        outcomes.add((kind, same))
+    # relabelings always match, and moved leaves land on both sides
+    assert {(0, True), (1, True), (1, False)} <= outcomes
+
+
+def test_deep_path_needs_no_recursion():
+    # far deeper than the interpreter's recursion limit
+    p = path(2500)
+    q = random_relabel(random.Random(5), p)
+    code = canonical_code(p)
+    assert code == canonical_code(q) == rooted_code(p, 1249)
+    assert len(code) == 5000
+    assert canonical_graph(p) == canonical_graph(q)
+    assert rooted_code(p, 0) == b"(" * 2500 + b")" * 2500
+    assert automorphism_count(p) == 2
+    m = tree_isomorphism_map(p, q)
+    assert Graph(p.n, [(m[u], m[v]) for u, v in p.edges()]) == q
+
+
 def test_labeled_copies_path():
     assert labeled_copies(path(3)) == 3  # n!/|Aut| = 6/2
     assert labeled_copies(star(3)) == 4  # 24/6
+
+
+# sha256 digests computed with the earlier recursive AHU walks and the
+# level-sequence enumeration.  Equal digests mean the same codes, the same
+# canonical orders, automorphism counts and rooted codes at every vertex,
+# and the same representatives in the same order.
+PINNED_CANON_DIGESTS = {
+    "canon": "5dd40e395273fd9c8ac664e303487158df120bd9bc1c502ead8a2cc2c1a7bfff",
+    "enumerate": "7ab593406d8c2202883e7e71eda96527a1e909641b334d99e39b32b34ac4db3f",
+    "family": "097fd5868fa02d14b029bb1c2d68f1d8e96eb0d2f586033c04a0facd340007c8",
+}
+
+
+def _canon_lines():
+    rng = random.Random(2016)
+    for t in trees_up_to(11):
+        for g in (t, random_relabel(rng, t), random_relabel(rng, t)):
+            code, order = canonical_order(g)
+            yield b" ".join(
+                [emit_graph6(g).encode(), code, canonical_code(g),
+                 repr(order).encode(), str(automorphism_count(g)).encode(),
+                 *(rooted_code(g, v) for v in range(g.n))]
+            )
+
+
+def test_canon_enumeration_family_pinned_values():
+    parts = {
+        "canon": _canon_lines(),
+        "enumerate": (
+            emit_graph6(t).encode()
+            for n in range(1, 14)
+            for t in enumerate_subcubic_trees(n)
+        ),
+        "family": (emit_graph6(t).encode() for t in generate_family(11)),
+    }
+    digests = {}
+    for name, lines in parts.items():
+        digest = hashlib.sha256()
+        for line in lines:
+            digest.update(line + b"\n")
+        digests[name] = digest.hexdigest()
+    assert digests == PINNED_CANON_DIGESTS

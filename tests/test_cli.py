@@ -1,6 +1,8 @@
 import json
 
-from expodom.cli import main
+import pytest
+
+from expodom.cli import SIZE_GUARD, main
 from expodom.graph import path, star, format_edge_list
 from expodom.graph6 import emit_graph6, parse_graph6
 
@@ -132,6 +134,17 @@ def test_family_recognize(tmp_path, capsys):
     data = json.loads(out)
     assert data["member"] is True
     assert [step["op"] for step in data["trace"]] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("n", [27, 2500])
+def test_family_recognize_size_guard(tmp_path, capsys, n):
+    # P27 would run its tau searches for seconds, P2500 for ever
+    src = write_graph(tmp_path, path(n))
+    code, out, err = run_cli(capsys, "family", "--recognize", src)
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"refusing recognition at n={n} > {SIZE_GUARD}")
+    assert err.count("\n") == 1
 
 
 def test_family_needs_a_mode(capsys):

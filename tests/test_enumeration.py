@@ -7,8 +7,6 @@ from expodom.enumeration import (
     labeled_count_from_classes,
     labeled_subcubic_tree_count,
     pruefer_class_count,
-    rooted_level_sequences,
-    tree_from_level_sequence,
     tree_from_pruefer,
 )
 from expodom.graph import is_subcubic_tree, is_tree, path, star
@@ -52,15 +50,6 @@ def test_stream_deterministic():
     first = [canonical_code(t) for t in enumerate_subcubic_trees(7)]
     second = [canonical_code(t) for t in enumerate_subcubic_trees(7)]
     assert first == second == sorted(first)
-
-
-def test_level_sequences_give_all_rooted_trees():
-    # rooted trees on 4 nodes: path, broom, spider, star
-    seqs = list(rooted_level_sequences(4))
-    assert seqs[0] == [1, 2, 3, 4]
-    assert len(seqs) == 4
-    for seq in seqs:
-        assert is_tree(tree_from_level_sequence(seq))
 
 
 def test_pruefer_decode_known():

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from expodom.graph import (
     Graph,
     INF,
+    MAX_ORDER,
     NotSubcubicError,
     ParseError,
     add_pendant_path,
@@ -24,7 +26,7 @@ from expodom.graph import (
 from expodom.enumeration import trees_up_to
 from expodom.fixtures import fixture_f2
 
-from _oracles import random_subcubic_graph
+from _oracles import graphs, random_subcubic_graph
 
 
 def test_parse_simple_path():
@@ -61,6 +63,19 @@ def test_parse_comments_and_dedup():
 def test_format_round_trip():
     g = fixture_f2()
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(40))
+def test_edge_list_round_trip_any_graph(g):
+    assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_parse_refuses_orders_beyond_graph6():
+    with pytest.raises(ParseError, match="order limit"):
+        parse_edge_list(f"n {MAX_ORDER + 1}")
+    with pytest.raises(ParseError, match="order limit"):
+        parse_edge_list(f"0 {MAX_ORDER}")
 
 
 def test_constructor_rejects_bad_edges():

@@ -1,12 +1,14 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
 
-from expodom.graph import Graph, ParseError, path, star
+from expodom.graph import MAX_ORDER, Graph, ParseError, path, star
 from expodom.graph6 import emit_graph6, parse_graph6
 from expodom.enumeration import trees_up_to
 
-from _oracles import random_subcubic_graph
+from _oracles import graphs, random_subcubic_graph
 
 
 def test_emit_p2():
@@ -68,3 +70,17 @@ def test_against_networkx_codec():
         assert emit_graph6(g) == want
         back = nx.from_graph6_bytes(emit_graph6(g).encode())
         assert sorted(map(tuple, map(sorted, back.edges()))) == g.edges()
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(70))
+def test_round_trip_any_graph(g):
+    # orders 0..70 cross the boundary between the 1-byte and 4-byte prefix
+    assert parse_graph6(emit_graph6(g)) == g
+
+
+def test_emit_refuses_orders_beyond_the_prefix():
+    # 258048 would need the 8-byte prefix; the order is checked before any
+    # bit is built, so a stand-in that has only an order is enough
+    with pytest.raises(ValueError, match=str(MAX_ORDER)):
+        emit_graph6(SimpleNamespace(n=MAX_ORDER + 1))
