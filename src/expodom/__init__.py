@@ -2,7 +2,6 @@
 domination, porous exponential domination, and the fractional porous
 relaxation of graphs."""
 
-from .arith import DYADIC_INF, Dyadic, coeff, pow_half, to_rational
 from .canon import canonical_code, rooted_code, tree_isomorphism_map
 from .enumeration import enumerate_subcubic_trees, trees_up_to
 from .family import (

@@ -5,7 +5,9 @@ All results are JSON on stdout (rationals as {"num", "den"} decimal strings)
 so identical invocations produce byte-identical output.  Exit codes: 0
 success, 2 suite violations, 64 usage errors, 65 malformed or oversized data,
 70 an internal certificate check failed (a bug: a computed optimum did not
-pass its own re-check).
+pass its own re-check).  ``tau``, ``family --recognize`` and the searches of
+``compute`` (unless ``--force``) refuse graphs above SIZE_GUARD vertices
+with exit 65, because their searches are exponential.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import DYADIC_INF
 from .enumeration import enumerate_subcubic_trees
 from .family import generate_family, recognize, tau
 from .fixtures import get_fixture
@@ -59,10 +60,15 @@ def _rational(q: Fraction) -> dict:
 
 
 def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    with open(source, "r", encoding="ascii") as handle:
-        return handle.read()
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        with open(source, "r", encoding="ascii") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"input is not ASCII text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _load_graph(args) -> Graph:
@@ -133,18 +139,22 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_tau(args) -> int:
     g = _load_graph(args)
+    if g.n > SIZE_GUARD:
+        print(
+            f"refusing tau at n={g.n} > {SIZE_GUARD}: "
+            "its searches are exponential",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     if not 0 <= args.vertex < g.n:
         print(f"vertex {args.vertex} out of range for n={g.n}", file=sys.stderr)
         return EXIT_DATA
     result = tau(g, args.vertex)
-    if result.value is DYADIC_INF:
-        payload = {"vertex": args.vertex, "tau": "inf", "witness": None}
-    else:
-        payload = {
-            "vertex": args.vertex,
-            "tau": _rational(result.value.to_fraction()),
-            "witness": list(result.witness),
-        }
+    payload = {
+        "vertex": args.vertex,
+        "tau": _rational(result.value),
+        "witness": list(result.witness),
+    }
     print(json.dumps(payload))
     return EXIT_OK
 

@@ -11,18 +11,20 @@ Three growth operations extend a tree at a vertex of degree at most 2:
 ``tau(x)`` is the smallest extra influence that, injected at x and decayed
 by half per edge of the dominator-free graph, repairs every deficit left by
 some too-small candidate set (fewer vertices than the exponential domination
-number, not containing x).  Closing P_1 under the three operations generates
-exactly the subcubic trees with gamma == gamma_e; ``recognize`` decides
-membership by exhaustive reverse search and returns a replayable trace.
+number, not containing x).  It is always finite (see ``TauResult``); like
+the weights it reads, it is computed in integers scaled by 2**n and returned
+as a ``Fraction``.  Closing P_1 under the three operations generates exactly
+the subcubic trees with gamma == gamma_e; ``recognize`` decides membership
+by exhaustive reverse search and returns a replayable trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterator
 
-from .arith import DYADIC_INF, Dyadic, HALF
 from .canon import (
     canonical_code,
     canonical_graph,
@@ -56,13 +58,16 @@ class OperationNotApplicable(ValueError):
 class TauResult:
     """Minimum repair influence at a vertex, with a witness candidate set.
 
-    The value is a Dyadic, or DYADIC_INF when every admissible set leaves a
-    deficit unreachable from the injection vertex; the witness is absent in
-    that case.
+    The value is always finite.  On a connected graph the empty set is
+    admissible and every deficit it leaves is reachable from x.  Otherwise
+    take a minimum exponential dominating set of the components other than
+    x's: it has at most gamma_e - 1 vertices, does not contain x, and covers
+    every vertex outside x's component, so every deficit it leaves lies in
+    that component, which holds no dominator, and is reachable from x.
     """
 
-    value: object
-    witness: tuple[int, ...] | None
+    value: Fraction
+    witness: tuple[int, ...]
 
 
 # caches are keyed by canonical codes, so entries are shared between all
@@ -71,7 +76,7 @@ _GAMMA: dict[bytes, int] = {}
 _GAMMA_E: dict[bytes, int] = {}
 _FORCED: dict[bytes, int] = {}
 _RESTRICTED: dict[bytes, int] = {}
-_TAU: dict[bytes, object] = {}
+_TAU: dict[bytes, Fraction] = {}
 _RECOGNIZE: dict[bytes, "tuple[OpTrace, Graph] | None"] = {}
 
 
@@ -136,7 +141,7 @@ def tau(g: Graph, x: int) -> TauResult:
     limit = _gamma_e_value(g)
     others = [v for v in range(g.n) if v != x]
     best: int | None = None
-    best_set: tuple[int, ...] | None = None
+    best_set: tuple[int, ...] = ()
     for size in range(limit):
         for cand in combinations(others, size):
             value = _tau_of_set(g, x, set(cand))
@@ -144,11 +149,11 @@ def tau(g: Graph, x: int) -> TauResult:
                 best = value
                 best_set = cand
     if best is None:
-        return TauResult(DYADIC_INF, None)
-    return TauResult(Dyadic(best, -g.n), best_set)
+        raise RuntimeError("tau found no finite candidate set")  # unreachable
+    return TauResult(Fraction(best, 1 << g.n), best_set)
 
 
-def _tau_value(g: Graph, x: int) -> object:
+def _tau_value(g: Graph, x: int) -> Fraction:
     if not is_tree(g):
         return tau(g, x).value
     key = rooted_code(g, x)
@@ -187,7 +192,7 @@ def op3_applicable(g: Graph, w: int) -> bool:
     _require_subcubic_tree(g)
     if g.degree(w) >= 3:
         return False
-    return _tau_value(g, w) > HALF
+    return _tau_value(g, w) > Fraction(1, 2)
 
 
 _APPLICABLE = {1: op1_applicable, 2: op2_applicable, 3: op3_applicable}

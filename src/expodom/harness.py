@@ -373,6 +373,8 @@ def _run_lemma1(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
 
 
 def _run_lemma2(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
+    if n_max < 2:
+        raise ValueError("lemma2 needs n_max >= 2")
     rng = random.Random(LEMMA2_SEED)
     pools = {n: list(enumerate_subcubic_trees(n)) for n in range(2, n_max + 1)}
     flat = []

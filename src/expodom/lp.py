@@ -98,28 +98,27 @@ class CanonicalSolution:
 
 
 def canonical_tree_solution(t: Graph) -> CanonicalSolution:
+    """The degree-based pair of ``CanonicalSolution``, with every row checked
+    in integers: x6 is six times the primal, and each row of ``porous_rows``
+    (the LP matrix times 2**n) times x6 is compared with 6 << n."""
     if not is_subcubic_tree(t):
         raise NotTreeError("canonical LP solution needs a subcubic tree")
     if t.n == 1:
-        x = (Fraction(1, 2),)
+        x6 = [3]
     else:
-        by_degree = {1: Fraction(1, 3), 2: Fraction(1, 6), 3: Fraction(0)}
-        x = tuple(by_degree[t.degree(u)] for u in range(t.n))
-    model = build_porous_lp(t)
-    rows = [
-        sum(model.matrix[v][u] * x[u] for u in range(t.n)) for v in range(t.n)
-    ]
-    primal_feasible = all(r >= 1 for r in rows)
-    all_tight = all(r == 1 for r in rows)
+        by_degree = {1: 2, 2: 1, 3: 0}
+        x6 = [by_degree[t.degree(u)] for u in range(t.n)]
+    six = 6 << t.n
+    rows = [sum(w * c for w, c in zip(row, x6)) for row in porous_rows(t)]
+    x = tuple(Fraction(c, 6) for c in x6)
     # the coefficient matrix is symmetric, so the dual rows coincide
-    dual_feasible = all(r <= 1 for r in rows)
     return CanonicalSolution(
         primal=x,
         dual=x,
-        objective=sum(x, Fraction(0)),
-        primal_feasible=primal_feasible,
-        dual_feasible=dual_feasible,
-        all_tight=all_tight,
+        objective=Fraction(sum(x6), 6),
+        primal_feasible=all(r >= six for r in rows),
+        dual_feasible=all(r <= six for r in rows),
+        all_tight=all(r == six for r in rows),
     )
 
 

@@ -16,14 +16,14 @@ Every influence sum in the package goes through ``influence``, which works
 in integers scaled by 2**n for a graph of order n: a dominator at distance
 d adds 1 << (n + 1 - d) (reachable distances are at most n - 1, so the
 shift is positive), and "weight at least 1" reads ``total >= 1 << n``.
-``Dyadic`` values are built only for the returned ``WeightProfile``.
+``Fraction`` values are built only for the returned ``WeightProfile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .arith import Dyadic
 from .graph import INF, Graph, bfs_distances, bfs_distances_excluding
 
 
@@ -72,22 +72,23 @@ class WeightProfile:
     """Per-vertex blocked and porous weights for one candidate set."""
 
     dominators: tuple[int, ...]
-    blocked: tuple[Dyadic, ...]
-    porous: tuple[Dyadic, ...]
+    blocked: tuple[Fraction, ...]
+    porous: tuple[Fraction, ...]
 
-    def min_blocked(self) -> Dyadic:
+    def min_blocked(self) -> Fraction:
         return min(self.blocked)
 
-    def min_porous(self) -> Dyadic:
+    def min_porous(self) -> Fraction:
         return min(self.porous)
 
 
 def weight_profile(g: Graph, dominators) -> WeightProfile:
     """Both weight vectors for the set, via one BFS per dominator and variant."""
     dset = tuple(sorted(set(dominators)))
+    scale = 1 << g.n
 
-    def weights(blocked: bool) -> tuple[Dyadic, ...]:
-        return tuple(Dyadic(w, -g.n) for w in influence(g, dset, blocked))
+    def weights(blocked: bool) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, scale) for w in influence(g, dset, blocked))
 
     return WeightProfile(dset, weights(True), weights(False))
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from expodom.cli import SIZE_GUARD, main
-from expodom.graph import path, star, format_edge_list
+from expodom.graph import Graph, path, star, format_edge_list
 from expodom.graph6 import emit_graph6, parse_graph6
 
 
@@ -119,6 +122,46 @@ def test_tau_cli(tmp_path, capsys):
     assert data["witness"] == []
     code, _, _ = run_cli(capsys, "tau", src, "--vertex", "7")
     assert code == 65
+    # two disjoint edges: the empty set strands the far edge, and one
+    # dominator there leaves a finite repair
+    src = write_graph(tmp_path, Graph(4, [(0, 1), (2, 3)]), "two_edges.txt")
+    code, out, _ = run_cli(capsys, "tau", src, "--vertex", "0")
+    assert code == 0
+    assert out == '{"vertex": 0, "tau": {"num": "2", "den": "1"}, "witness": [2]}\n'
+
+
+@pytest.mark.parametrize("n", [27, 2500])
+def test_tau_size_guard(tmp_path, capsys, n):
+    # P27 would run its searches for seconds, P2500 for ever
+    src = write_graph(tmp_path, path(n))
+    code, out, err = run_cli(capsys, "tau", src, "--vertex", "0")
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"refusing tau at n={n} > {SIZE_GUARD}")
+    assert err.count("\n") == 1
+
+
+def test_non_ascii_input_is_a_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe 0 1\n")
+    code, out, err = run_cli(capsys, "compute", str(bad))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("expodom: input is not ASCII")
+    assert err.count("\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.binary(max_size=32))
+def test_arbitrary_bytes_exit_0_or_65(tmp_path_factory, data):
+    src = tmp_path_factory.getbasetemp() / "fuzz_input"
+    src.write_bytes(data)
+    for fmt in ("auto", "graph6", "edgelist"):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["compute", str(src), "--no-ilp", "--no-lp",
+                         "--format", fmt])
+        assert code in (0, 65), (fmt, data, sink.getvalue())
 
 
 def test_family_generate(capsys):
@@ -170,6 +213,13 @@ def test_verify_violation_exit(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "theorem2", "--nmax", "3")
     assert code == 2
     assert json.loads(out)["violations"]
+
+
+def test_verify_lemma2_needs_two_vertices(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma2", "--nmax", "1")
+    assert code == 64
+    assert out == ""
+    assert err == "expodom: lemma2 needs n_max >= 2\n"
 
 
 def test_conjecture_cli(capsys):

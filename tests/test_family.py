@@ -1,9 +1,9 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from expodom.arith import DYADIC_INF, Dyadic
 from expodom.canon import canonical_code, tree_isomorphism_map
 from expodom.enumeration import trees_up_to
 from expodom.family import (
@@ -20,14 +20,14 @@ from expodom.family import (
     tau,
 )
 from expodom.fixtures import fixture_f1
-from expodom.graph import NotTreeError, cycle, path, star
+from expodom.graph import NotTreeError, connected_components, cycle, path, star
 from expodom.solvers import (
     domination_number,
     exponential_domination_number,
 )
 from expodom.weights import weight_profile
 
-from _oracles import random_relabel
+from _oracles import random_relabel, random_subcubic_graph
 
 
 def test_tau_single_vertex():
@@ -56,12 +56,12 @@ def test_tau_enumeration_oracle():
     g = fixture_f1(1)
     limit = exponential_domination_number(g).value
     for x in range(g.n):
-        best = DYADIC_INF
+        best = None
         for size in range(limit):
             for cand in combinations([v for v in range(g.n) if v != x], size):
                 prof = weight_profile(g, cand)
                 dist = bfs_distances_excluding(g, x, set(cand))
-                worst = Dyadic(0)
+                worst = Fraction(0)
                 ok = True
                 for u in range(g.n):
                     if u in cand or prof.blocked[u] >= 1:
@@ -69,18 +69,24 @@ def test_tau_enumeration_oracle():
                     if dist[u] == INF:
                         ok = False
                         break
-                    need = (1 - prof.blocked[u]) * Dyadic(1, dist[u])
+                    need = (1 - prof.blocked[u]) * 2 ** dist[u]
                     worst = max(worst, need)
-                if ok and worst < best:
+                if ok and (best is None or worst < best):
                     best = worst
         assert tau(g, x).value == best
 
 
 def test_tau_positive_when_finite():
-    for t in trees_up_to(7):
-        for x in range(t.n):
-            value = tau(t, x).value
-            assert value is DYADIC_INF or value > 0
+    # tau is finite on every graph, disconnected ones included
+    rng = random.Random(42)
+    randoms = [random_subcubic_graph(rng) for _ in range(40)]
+    graphs = list(trees_up_to(7)) + randoms
+    assert sum(len(connected_components(g)) > 1 for g in graphs) > 0
+    for g in graphs:
+        for x in range(g.n):
+            got = tau(g, x)
+            assert got.value > 0
+            assert isinstance(got.witness, tuple)
 
 
 def test_tau_disconnected():
