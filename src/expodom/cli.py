@@ -3,18 +3,19 @@
 Subcommands: compute, enumerate, tau, family, verify, conjecture, fixture.
 All results are JSON on stdout (rationals as {"num", "den"} decimal strings)
 so identical invocations produce byte-identical output.  Exit codes: 0
-success, 2 suite violations, 64 usage errors, 65 malformed or oversized data,
-70 an internal certificate check failed (a bug: a computed optimum did not
-pass its own re-check).  ``tau``, ``family --recognize`` and the searches of
-``compute`` (unless ``--force``) refuse graphs above SIZE_GUARD vertices
-with exit 65, because their searches are exponential.
+success, 2 suite violations, 64 usage errors (``--nmax`` below 1 among
+them), 65 malformed or oversized data, 70 an internal certificate check
+failed (a bug: a computed optimum did not pass its own re-check).  ``tau``,
+``family --recognize`` and the searches of ``compute`` (unless ``--force``)
+refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
+are exponential.  ``verify`` and ``conjecture`` default ``--nmax`` per suite
+or scan, and run ``--jobs`` worker processes (default 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from .graph import (
     parse_edge_list,
 )
 from .graph6 import emit_graph6, parse_graph6
-from .harness import SUITES, run_suite, search_counterexample
+from .harness import SCANS, SUITES, run_suite, search_counterexample
 from .lp import fractional_porous_number
 from .solvers import (
     domination_number,
@@ -71,13 +72,12 @@ def _read_text(source: str) -> str:
         ) from None
 
 
-def _load_graph(args) -> Graph:
-    if getattr(args, "fixture", None):
-        return get_fixture(args.fixture)
-    if args.input is None:
+def _load_graph(source: str | None, fmt: str, fixture: str | None = None) -> Graph:
+    if fixture:
+        return get_fixture(fixture)
+    if source is None:
         raise ParseError("no input given (pass a path, '-', or --fixture)")
-    text = _read_text(args.input)
-    fmt = getattr(args, "format", "auto")
+    text = _read_text(source)
     if fmt == "edgelist":
         return parse_edge_list(text)
     if fmt == "graph6":
@@ -93,23 +93,20 @@ def _load_graph(args) -> Graph:
             raise edge_err if looks_like_edges else g6_err from None
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("EXPODOM_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _refused(g: Graph, what: str, why: str) -> bool:
+    """Say on stderr that ``what`` is refused when g exceeds SIZE_GUARD."""
+    if g.n <= SIZE_GUARD:
+        return False
+    print(f"refusing {what} at n={g.n} > {SIZE_GUARD}{why}", file=sys.stderr)
+    return True
 
 
 def _cmd_compute(args) -> int:
-    g = _load_graph(args)
+    g = _load_graph(args.input, args.format, args.fixture)
     want_ilp = not args.no_ilp
-    if want_ilp and g.n > SIZE_GUARD and not args.force:
-        print(
-            f"refusing the exponential searches at n={g.n} > {SIZE_GUARD}; "
-            "pass --force or --no-ilp",
-            file=sys.stderr,
-        )
+    if want_ilp and not args.force and _refused(
+        g, "the exponential searches", "; pass --force or --no-ilp"
+    ):
         return EXIT_DATA
     gamma = domination_number(g)
     out = {"n": g.n, "gamma": gamma.value, "gamma_witness": list(gamma.witness)}
@@ -138,13 +135,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    g = _load_graph(args)
-    if g.n > SIZE_GUARD:
-        print(
-            f"refusing tau at n={g.n} > {SIZE_GUARD}: "
-            "its searches are exponential",
-            file=sys.stderr,
-        )
+    g = _load_graph(args.input, args.format, args.fixture)
+    if _refused(g, "tau", ": its searches are exponential"):
         return EXIT_DATA
     if not 0 <= args.vertex < g.n:
         print(f"vertex {args.vertex} out of range for n={g.n}", file=sys.stderr)
@@ -161,16 +153,8 @@ def _cmd_tau(args) -> int:
 
 def _cmd_family(args) -> int:
     if args.recognize is not None:
-        saved_input = args.input
-        args.input = args.recognize
-        g = _load_graph(args)
-        args.input = saved_input
-        if g.n > SIZE_GUARD:
-            print(
-                f"refusing recognition at n={g.n} > {SIZE_GUARD}: "
-                "its tau searches are exponential",
-                file=sys.stderr,
-            )
+        g = _load_graph(args.recognize, args.format)
+        if _refused(g, "recognition", ": its tau searches are exponential"):
             return EXIT_DATA
         trace = recognize(g)
         payload = {
@@ -211,11 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="expodom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[], help="all parameters of one graph")
-    p.add_argument("input", nargs="?", help="edge list or graph6 file, or -")
-    p.add_argument("--fixture", help="use a built-in fixture (f1:<k> or f2)")
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
-                   default="auto")
+    graph_input = argparse.ArgumentParser(add_help=False)
+    graph_input.add_argument("input", nargs="?",
+                             help="edge list or graph6 file, or -")
+    graph_input.add_argument("--fixture",
+                             help="use a built-in fixture (f1:<k> or f2)")
+    graph_input.add_argument("--format", choices=("auto", "edgelist", "graph6"),
+                             default="auto")
+
+    p = sub.add_parser("compute", parents=[graph_input],
+                       help="all parameters of one graph")
     p.add_argument("--no-ilp", action="store_true",
                    help="skip the exponential domination searches")
     p.add_argument("--no-lp", action="store_true",
@@ -228,11 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("tau", help="repair influence of a vertex")
-    p.add_argument("input", nargs="?", help="edge list or graph6 file, or -")
-    p.add_argument("--fixture", help="use a built-in fixture")
-    p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
-                   default="auto")
+    p = sub.add_parser("tau", parents=[graph_input],
+                       help="repair influence of a vertex")
     p.add_argument("--vertex", type=int, required=True)
     p.set_defaults(func=_cmd_tau)
 
@@ -242,18 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit a construction trace for this tree")
     p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
                    default="auto")
-    p.set_defaults(func=_cmd_family, input=None, fixture=None)
+    p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
     p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("conjecture", help="scan for counterexamples")
-    p.add_argument("--id", type=int, required=True, choices=(1, 2))
-    p.add_argument("--nmax", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--id", type=int, required=True, choices=sorted(SCANS))
+    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_conjecture)
 
     p = sub.add_parser("fixture", help="emit a built-in fixture")

@@ -80,11 +80,6 @@ _TAU: dict[bytes, Fraction] = {}
 _RECOGNIZE: dict[bytes, "tuple[OpTrace, Graph] | None"] = {}
 
 
-def reset_caches() -> None:
-    for cache in (_GAMMA, _GAMMA_E, _FORCED, _RESTRICTED, _TAU, _RECOGNIZE):
-        cache.clear()
-
-
 def _gamma_value(g: Graph) -> int:
     key = canonical_code(g)
     if key not in _GAMMA:

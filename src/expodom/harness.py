@@ -3,8 +3,9 @@
 Each suite sweeps the enumerated subcubic trees up to an order bound (the
 chain and diameter-bound suites also take cycles), checks one documented
 claim per instance, and reports violations as machine-readable records that
-can be re-checked from their graph6 strings alone.  Conjecture scans use the
-same machinery but a non-empty result is a finding, not a failure.
+can be re-checked from their graph6 strings alone.  ``SUITES`` and ``SCANS``
+give each suite and scan a default order bound and a runner, and one function
+times and reports them all; a non-empty scan result is a finding, not a failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable
@@ -71,11 +72,7 @@ class Violation:
     observed: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "expected": self.expected,
-            "observed": self.observed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -91,16 +88,11 @@ class Report:
         return not self.violations
 
     def to_json_obj(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "checked": self.checked,
-            "violations": [v.to_json_obj() for v in self.violations],
-            "ms": self.ms,
-        }
+        # the field order is the pinned key order of the JSON report
+        return asdict(self)
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj())
 
 
 def _tree_corpus(n_max: int) -> list[Graph]:
@@ -318,45 +310,42 @@ def _check_conjecture2(g6: str, g: Graph) -> list[tuple]:
     ]
 
 
-_CHECKS: dict[str, Callable] = {
-    "chain": _check_chain,
-    "theorem2": _check_theorem2,
-    "corollary1": _check_corollary1,
-    "theorem3": _check_theorem3,
-    "theorem4": _check_theorem4,
-    "theorem5": _check_theorem5,
-    "corollary2": _check_corollary2,
-    "lemma1": _check_lemma1,
-    "theorem1equiv": _check_theorem1equiv,
-    "conjecture1": _check_conjecture1,
-    "conjecture2": _check_conjecture2,
-}
-
-
 def _mp_item(args):
-    check_id, g6 = args
-    return _CHECKS[check_id](g6, parse_graph6(g6))
+    check, g6 = args
+    return check(g6, parse_graph6(g6))
 
 
-def _run_per_graph(check_id: str, corpus: list[Graph], jobs: int) -> list[list[tuple]]:
-    items = [(check_id, emit_graph6(g)) for g in corpus]
+def _run_per_graph(check: Callable, corpus: list[Graph], jobs: int) -> list[list[tuple]]:
+    items = [(check, emit_graph6(g)) for g in corpus]
     if jobs > 1 and len(items) > 1:
         # imported here: at module level it adds about 10 ms to every start
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(jobs) as pool:
+        with get_context("fork").Pool(min(jobs, len(items))) as pool:
             return pool.map(_mp_item, items)
     return [_mp_item(item) for item in items]
+
+
+def _sweep(check: Callable, corpus: Callable = _tree_corpus,
+           reduce: Callable | None = None) -> Callable:
+    """``check(g6, g)`` on each graph of ``corpus(n_max)``; the violations are
+    flattened, or ``reduce(per_item, n_max)`` makes them."""
+
+    def run(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
+        graphs = corpus(n_max)
+        results = _run_per_graph(check, graphs, jobs)
+        if reduce is not None:
+            return len(graphs), reduce(results, n_max)
+        return len(graphs), [v for items in results for v in items]
+
+    return run
 
 
 # -- suites that are not a plain per-graph sweep ------------------------------
 
 
 def _run_lemma1(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
-    corpus = _tree_corpus(n_max)
-    results = _run_per_graph("lemma1", corpus, jobs)
-    flat = [v for items in results for v in items]
-    checked = len(corpus)
+    checked, flat = _sweep(_check_lemma1)(n_max, jobs)
     for depth in range(1, 6):
         t = full_binary_tree(depth)
         leaves = full_binary_tree_leaves(depth)
@@ -421,25 +410,38 @@ def _run_enumcount(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
 @dataclass(frozen=True)
 class SuiteSpec:
     default_nmax: int
-    corpus: Callable | None  # None for custom runners
-    check_id: str | None = None
-    custom: Callable | None = None
-    reduce: Callable | None = None
+    run: Callable[[int, int], tuple[int, list[tuple]]]  # (n_max, jobs)
 
 
 SUITES: dict[str, SuiteSpec] = {
-    "chain": SuiteSpec(10, _tree_cycle_corpus, "chain"),
-    "theorem2": SuiteSpec(12, _tree_corpus, "theorem2"),
-    "corollary1": SuiteSpec(10, _tree_corpus, "corollary1"),
-    "theorem3": SuiteSpec(10, _tree_corpus, "theorem3"),
-    "theorem4": SuiteSpec(10, _tree_corpus, "theorem4", reduce=_reduce_theorem4),
-    "theorem5": SuiteSpec(12, _tree_cycle_corpus, "theorem5"),
-    "corollary2": SuiteSpec(12, _tree_corpus, "corollary2"),
-    "lemma1": SuiteSpec(8, None, custom=_run_lemma1),
-    "lemma2": SuiteSpec(10, None, custom=_run_lemma2),
-    "theorem1equiv": SuiteSpec(9, _tree_corpus, "theorem1equiv"),
-    "enumcount": SuiteSpec(10, None, custom=_run_enumcount),
+    "chain": SuiteSpec(10, _sweep(_check_chain, _tree_cycle_corpus)),
+    "theorem2": SuiteSpec(12, _sweep(_check_theorem2)),
+    "corollary1": SuiteSpec(10, _sweep(_check_corollary1)),
+    "theorem3": SuiteSpec(10, _sweep(_check_theorem3)),
+    "theorem4": SuiteSpec(10, _sweep(_check_theorem4, reduce=_reduce_theorem4)),
+    "theorem5": SuiteSpec(12, _sweep(_check_theorem5, _tree_cycle_corpus)),
+    "corollary2": SuiteSpec(12, _sweep(_check_corollary2)),
+    "lemma1": SuiteSpec(8, _run_lemma1),
+    "lemma2": SuiteSpec(10, _run_lemma2),
+    "theorem1equiv": SuiteSpec(9, _sweep(_check_theorem1equiv)),
+    "enumcount": SuiteSpec(10, _run_enumcount),
 }
+
+SCANS: dict[int, SuiteSpec] = {
+    1: SuiteSpec(10, _sweep(_check_conjecture1)),
+    2: SuiteSpec(10, _sweep(_check_conjecture2)),
+}
+
+
+def _report(name: str, spec: SuiteSpec, n_max: int | None, jobs: int) -> Report:
+    n_max = spec.default_nmax if n_max is None else n_max
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    start = time.monotonic()
+    checked, flat = spec.run(n_max, jobs)
+    violations = [Violation(*v) for v in sorted(set(flat))]
+    ms = int((time.monotonic() - start) * 1000)
+    return Report(name, {"n_max": n_max}, checked, violations, ms)
 
 
 def run_suite(suite: str, n_max: int | None = None, jobs: int = 1) -> Report:
@@ -447,35 +449,14 @@ def run_suite(suite: str, n_max: int | None = None, jobs: int = 1) -> Report:
     key = suite.strip().lower()
     if key not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    spec = SUITES[key]
-    n_max = spec.default_nmax if n_max is None else n_max
-    start = time.monotonic()
-    if spec.custom is not None:
-        checked, flat = spec.custom(n_max, jobs)
-    else:
-        corpus = spec.corpus(n_max)
-        results = _run_per_graph(spec.check_id, corpus, jobs)
-        checked = len(corpus)
-        if spec.reduce is not None:
-            flat = spec.reduce(results, n_max)
-        else:
-            flat = [v for items in results for v in items]
-    violations = [Violation(*v) for v in sorted(set(flat))]
-    ms = int((time.monotonic() - start) * 1000)
-    return Report(key, {"n_max": n_max}, checked, violations, ms)
+    return _report(key, SUITES[key], n_max, jobs)
 
 
-def search_counterexample(conjecture: int, n_max: int, jobs: int = 1) -> Report:
+def search_counterexample(
+    conjecture: int, n_max: int | None = None, jobs: int = 1
+) -> Report:
     """Scan for counterexamples; findings land in the violations list but a
     non-empty list is a research finding, not a failure."""
-    if conjecture not in (1, 2):
+    if conjecture not in SCANS:
         raise ValueError("conjecture id must be 1 or 2")
-    start = time.monotonic()
-    corpus = _tree_corpus(n_max)
-    results = _run_per_graph(f"conjecture{conjecture}", corpus, jobs)
-    flat = [v for items in results for v in items]
-    findings = [Violation(*v) for v in sorted(set(flat))]
-    ms = int((time.monotonic() - start) * 1000)
-    return Report(
-        f"conjecture{conjecture}", {"n_max": n_max}, len(corpus), findings, ms
-    )
+    return _report(f"conjecture{conjecture}", SCANS[conjecture], n_max, jobs)

@@ -56,11 +56,6 @@ def solve_exact(model: LpModel) -> LpSolution:
 
     Raises CertificateError if the pair fails its optimality certificate.
     """
-    n = model.size
-    if len(model.matrix) and any(len(row) != n for row in model.matrix):
-        raise ValueError("LP matrix and objective dimensions disagree")
-    if len(model.rhs) != len(model.matrix):
-        raise ValueError("LP matrix and rhs dimensions disagree")
     res = solve_min_geq(model.matrix, model.rhs, model.objective)
     if res.status != "optimal":
         return LpSolution(res.status, None, None, None)

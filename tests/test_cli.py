@@ -203,16 +203,35 @@ def test_verify_pass(capsys):
 
 
 def test_verify_violation_exit(capsys, monkeypatch):
-    # force a failing check through the registry to exercise exit code 2
+    # force a failing suite through the table to exercise exit code 2
     import expodom.harness as harness
 
     def always_fails(g6, g):
         return [(g6, "nothing", "something")]
 
-    monkeypatch.setitem(harness._CHECKS, "theorem2", always_fails)
+    spec = harness.SuiteSpec(12, harness._sweep(always_fails))
+    monkeypatch.setitem(harness.SUITES, "theorem2", spec)
     code, out, _ = run_cli(capsys, "verify", "--suite", "theorem2", "--nmax", "3")
     assert code == 2
     assert json.loads(out)["violations"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "theorem2", "--nmax", "0"),
+        ("verify", "--suite", "theorem4", "--nmax", "-3"),
+        ("verify", "--suite", "enumcount", "--nmax", "0"),
+        ("verify", "--suite", "lemma1", "--nmax", "0"),
+        ("conjecture", "--id", "1", "--nmax", "0"),
+    ],
+)
+def test_nmax_below_one_is_a_usage_error(capsys, argv):
+    # an empty sweep must not report a pass
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err == "expodom: n_max must be at least 1\n"
 
 
 def test_verify_lemma2_needs_two_vertices(capsys):
@@ -226,6 +245,12 @@ def test_conjecture_cli(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--id", "1", "--nmax", "7")
     assert code == 0
     assert json.loads(out)["violations"] == []
+
+
+def test_conjecture_default_nmax(capsys):
+    code, out, _ = run_cli(capsys, "conjecture", "--id", "1")
+    assert code == 0
+    assert json.loads(out)["params"] == {"n_max": 10}
 
 
 def test_fixture_cli(capsys):

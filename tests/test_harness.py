@@ -73,6 +73,40 @@ def test_conjecture_scan_small():
         search_counterexample(3, 5)
 
 
+def test_conjecture_scan_default_nmax():
+    report = search_counterexample(2)
+    assert report.params == {"n_max": 10}
+    assert report.checked == 83
+
+
+def test_pool_has_at_most_one_worker_per_item(monkeypatch):
+    # a fake context: records the requested pool size and starts no worker
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    report = run_suite("theorem2", 3, jobs=1000)
+    assert report.checked == 3
+    assert sizes == [3]
+
+
 def test_theorem4_reduce_flags_missing_hit():
     from expodom.harness import _reduce_theorem4
 

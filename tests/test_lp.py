@@ -224,6 +224,12 @@ def test_solve_rejects_bad_dimensions():
     model = LpModel(((F(1), F(2)),), (F(1),), (F(1),))
     with pytest.raises(ValueError):
         solve_exact(model)
+    for model in (
+        LpModel(((F(1),),), (F(1), F(1)), (F(1),)),  # long rhs
+        LpModel((), (F(1),), (F(1),)),  # empty matrix with an rhs
+    ):
+        with pytest.raises(ValueError):
+            solve_exact(model)
 
 
 def test_scipy_cross_check():
