@@ -48,6 +48,7 @@ from .solvers import (
     domination_number,
     domination_with_forced_vertex,
     exponential_domination_number,
+    exponential_parameters,
     porous_exponential_domination_number,
     restricted_domination_number,
 )

@@ -8,7 +8,9 @@ them), 65 malformed or oversized data, 70 an internal certificate check
 failed (a bug: a computed optimum did not pass its own re-check).  ``tau``,
 ``family --recognize`` and the searches of ``compute`` (unless ``--force``)
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
-are exponential.  ``verify`` and ``conjecture`` default ``--nmax`` per suite
+are exponential; ``compute`` also refuses graphs above
+``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables would not
+fit in memory.  ``verify`` and ``conjecture`` default ``--nmax`` per suite
 or scan, and run ``--jobs`` worker processes (default 1).
 """
 
@@ -34,11 +36,7 @@ from .graph import (
 from .graph6 import emit_graph6, parse_graph6
 from .harness import SCANS, SUITES, run_suite, search_counterexample
 from .lp import fractional_porous_number
-from .solvers import (
-    domination_number,
-    exponential_domination_number,
-    porous_exponential_domination_number,
-)
+from .solvers import COVER_ORDER_LIMIT, domination_number, exponential_parameters
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -108,11 +106,17 @@ def _cmd_compute(args) -> int:
         g, "the exponential searches", "; pass --force or --no-ilp"
     ):
         return EXIT_DATA
+    if g.n > COVER_ORDER_LIMIT:
+        print(
+            f"refusing the domination search at n={g.n} > {COVER_ORDER_LIMIT}: "
+            "its bitmask tables grow as n**2 bits",
+            file=sys.stderr,
+        )
+        return EXIT_DATA
     gamma = domination_number(g)
     out = {"n": g.n, "gamma": gamma.value, "gamma_witness": list(gamma.witness)}
     if want_ilp:
-        ge = exponential_domination_number(g)
-        ges = porous_exponential_domination_number(g)
+        ge, ges = exponential_parameters(g)
         out["gamma_e"] = ge.value
         out["gamma_e_witness"] = list(ge.witness)
         out["gamma_e_star"] = ges.value

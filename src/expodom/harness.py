@@ -53,6 +53,7 @@ from .solvers import (
     all_minimum_porous_sets,
     domination_number,
     exponential_domination_number,
+    exponential_parameters,
     porous_exponential_domination_number,
 )
 from .weights import weight_profile
@@ -110,8 +111,7 @@ def _tree_cycle_corpus(n_max: int) -> list[Graph]:
 
 def _check_chain(g6: str, g: Graph) -> list[tuple]:
     lp = fractional_porous_number(g)
-    ges = porous_exponential_domination_number(g).value
-    ge = exponential_domination_number(g).value
+    ge, ges = (cert.value for cert in exponential_parameters(g))
     gam = domination_number(g).value
     if lp <= ges <= ge <= gam:
         return []
@@ -285,8 +285,7 @@ def _check_theorem1equiv(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_conjecture1(g6: str, g: Graph) -> list[tuple]:
-    ge = exponential_domination_number(g).value
-    ges = porous_exponential_domination_number(g).value
+    ge, ges = (cert.value for cert in exponential_parameters(g))
     if 2 * ge <= 3 * ges:
         return []
     return [

@@ -11,6 +11,17 @@ All searches are exhaustive with pruning, never heuristic:
   blocked variant runs ``is_exponential_dominating``.  Both read the one
   integer influence kernel, ``weights.influence``.
 
+One scan yields both exponential optima (``exponential_parameters``).
+Blocked weight never exceeds porous weight, so every exponential dominating
+set is porous dominating and gamma_e_star <= gamma_e.  The blocked scan
+records the first porous-feasible leaf it meets, and that leaf is exactly
+the set the porous-only scan would return: below gamma_e_star no level has
+a porous-feasible leaf; both scans walk the same pruned tree in the same
+order; and the blocked check runs only on porous-feasible leaves, so the
+blocked scan cannot stop before it reaches the first of them.
+``porous_exponential_domination_number`` keeps the porous-only scan, which
+stops at gamma_e_star.
+
 The subset search packs each weight vector into one int, a field of
 ``width = n + (2n).bit_length() + 1`` bits per vertex, so a search node
 costs one big-int add.  A field holds at most k dominators' weight, each at
@@ -21,9 +32,11 @@ vertex can (``w + slots * suffix_max`` below 2**n in some field); since
 the suffix maxima are non-negative this is the same per-vertex inequality
 as testing the vertex's own weight first, so the search visits the same
 nodes in the same order.  The prune and the leaf test share one carry test
-for "every field is at least 2**n".
+for "every field is at least 2**n", written out inline in both loops; a
+parent tests each child's prune before it recurses into the child.
 
-Witnesses are therefore always the lexicographically smallest optimum set.
+Witnesses are therefore always the lexicographically smallest optimum set,
+and every witness is re-checked on its own before it is returned.
 Disconnected inputs are solved per component and recombined.
 """
 
@@ -78,6 +91,12 @@ def _closed_masks(g: Graph) -> list[int]:
             m |= 1 << u
         masks.append(m)
     return masks
+
+
+# ``_min_cover`` keeps one closed-neighborhood mask per vertex and one suffix
+# union per candidate, Python ints of up to n bits each: about 1.5 * n**2
+# bits in all, 48 MB at this order.  ``compute`` refuses larger graphs.
+COVER_ORDER_LIMIT = 16384
 
 
 def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
@@ -171,11 +190,13 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
 # -- exponential domination: LP-seeded subset search -------------------------
 
 
-def _exponential_search(g: Graph, porous_only: bool, collect_all: bool = False):
-    """Smallest k with a feasible size-k set; optionally all size-k witnesses.
+def _exponential_search(g: Graph, blocked: bool, collect_all: bool = False):
+    """Optima of the lexicographic subset scan, smallest k first.
 
-    Connected or not, the graph is searched whole; callers decompose first
-    for speed.  Returns (k, first_witness) or (k, [witnesses...]).
+    Returns ``[porous]``, or ``[porous, exponential]`` when ``blocked``: each
+    is (k, first witness), and with ``collect_all`` the porous one is
+    (k, [every minimum porous set]).  Connected or not, the graph is
+    searched whole; callers decompose first for speed.
     """
     n = g.n
     # Each weight vector is one int, vertex u's scaled weight in the field of
@@ -194,77 +215,101 @@ def _exponential_search(g: Graph, porous_only: bool, collect_all: bool = False):
     for v in range(n - 1, -1, -1):
         suffix_max = [max(a, b) for a, b in zip(suffix_max, rows[v])]
         psuf[v] = pack(suffix_max)
-    # Field-wise "weight >= 2**n": shifted down by n, a field keeps its
-    # quotient (< 2**(width - n - 1)) under ``low``, and adding ``low``
-    # carries into the field's ``top`` bit exactly when that quotient is at
-    # least 1.
+    # Field-wise "weight >= 2**n", the carry test written out in both loops
+    # below: shifted down by n, a field keeps its quotient
+    # (< 2**(width - n - 1)) under ``low``, and adding ``low`` carries into
+    # the field's ``top`` bit exactly when that quotient is at least 1.
     low = pack([(1 << (width - n - 1)) - 1] * n)
     top = pack([1 << (width - n - 1)] * n)
 
-    def covered(x: int) -> bool:
-        return (((x >> n) & low) + low) & top == top
+    hits: list[tuple[int, ...]] = []  # porous-feasible leaves kept so far
+    found: list[tuple[int, ...]] = []  # the first exponential dominating leaf
 
-    def search(k: int):
-        hits = []
-
-        def rec(start: int, slots: int, w: int, chosen):
-            if not covered(w + slots * psuf[start]):
-                return False
-            if slots == 1:
-                for v in range(start, n):
-                    if covered(w + prow[v]) and (
-                        porous_only or is_exponential_dominating(g, chosen + [v])
-                    ):
-                        hits.append((*chosen, v))
-                        if not collect_all:
-                            return True
-                return False
-            for v in range(start, n - slots + 1):
-                chosen.append(v)
-                stop = rec(v + 1, slots - 1, w + prow[v], chosen)
-                chosen.pop()
-                if stop:
-                    return True
+    def rec(start: int, slots: int, w: int, chosen) -> bool:
+        """Scan the sets that extend ``chosen`` by ``slots`` vertices from
+        ``start`` on, a node that passed the prune; True ends the scan."""
+        if slots > 1:
+            rest = slots - 1
+            for v in range(start, n - rest):
+                x = w + prow[v]
+                # the child's prune, tested here to spare the call
+                if ((((x + rest * psuf[v + 1]) >> n) & low) + low) & top == top:
+                    chosen.append(v)
+                    stop = rec(v + 1, rest, x, chosen)
+                    chosen.pop()
+                    if stop:
+                        return True
             return False
+        for v in range(start, n):
+            if ((((w + prow[v]) >> n) & low) + low) & top == top:
+                leaf = (*chosen, v)
+                if not blocked:
+                    hits.append(leaf)
+                    if not collect_all:
+                        return True
+                    continue
+                if not hits:
+                    hits.append(leaf)
+                if is_exponential_dominating(g, leaf):
+                    found.append(leaf)
+                    return True
+        return False
 
-        rec(0, k, 0, [])
-        return hits
-
+    porous = None
     k0 = max(1, math.ceil(fractional_porous_number(g)))
     for k in range(k0, n + 1):
-        hits = search(k)
-        if hits:
-            return k, (hits if collect_all else hits[0])
+        if ((((k * psuf[0]) >> n) & low) + low) & top == top:
+            rec(0, k, 0, [])
+        if hits and porous is None:
+            porous = (k, hits if collect_all else hits[0])
+        if found:
+            return [porous, (k, found[0])]
+        if porous and not blocked:
+            return [porous]
     raise RuntimeError("exponential search failed to terminate")  # unreachable
 
 
-def _per_component(g: Graph, porous_only: bool):
-    total = 0
-    witness: list[int] = []
+def _per_component(g: Graph, blocked: bool):
+    """``_exponential_search`` per component, values summed and witnesses
+    merged back into g's labels."""
+    totals = [(0, [])] * (1 + blocked)
     for comp in connected_components(g):
         sub, _ = induced_subgraph(g, comp)
-        k, local = _exponential_search(sub, porous_only)
-        total += k
-        witness.extend(comp[v] for v in local)
-    return total, tuple(sorted(witness))
+        totals = [
+            (total + k, witness + [comp[v] for v in local])
+            for (total, witness), (k, local) in zip(
+                totals, _exponential_search(sub, blocked)
+            )
+        ]
+    return [(total, tuple(sorted(witness))) for total, witness in totals]
+
+
+def _exponential_certificate(g: Graph, parameter: str, value: int, witness):
+    """Re-check one witness on its own, against its own weight profile."""
+    if g.n == 0:
+        return DomCertificate(parameter, value, witness)
+    profile = weight_profile(g, witness)
+    least = profile.min_blocked() if parameter == "gamma_e" else profile.min_porous()
+    _certify(least >= 1, f"{parameter} witness is not dominating")
+    return DomCertificate(parameter, value, witness, profile=profile)
+
+
+def exponential_parameters(g: Graph) -> tuple[DomCertificate, DomCertificate]:
+    """The gamma_e and gamma_e_star certificates, in that order, from one
+    scan per component."""
+    porous, blocked = _per_component(g, True)
+    return (
+        _exponential_certificate(g, "gamma_e", *blocked),
+        _exponential_certificate(g, "gamma_e_star", *porous),
+    )
 
 
 def exponential_domination_number(g: Graph) -> DomCertificate:
-    if g.n == 0:
-        return DomCertificate("gamma_e", 0, ())
-    value, witness = _per_component(g, porous_only=False)
-    profile = weight_profile(g, witness)
-    _certify(profile.min_blocked() >= 1, "gamma_e witness is not dominating")
-    return DomCertificate("gamma_e", value, witness, profile=profile)
+    return _exponential_certificate(g, "gamma_e", *_per_component(g, True)[1])
 
 
 def porous_exponential_domination_number(g: Graph) -> DomCertificate:
-    if g.n == 0:
-        return DomCertificate("gamma_e_star", 0, ())
-    value, witness = _per_component(g, porous_only=True)
-    profile = weight_profile(g, witness)
-    _certify(profile.min_porous() >= 1, "gamma_e_star witness is not dominating")
-    return DomCertificate("gamma_e_star", value, witness, profile=profile)
+    return _exponential_certificate(g, "gamma_e_star", *_per_component(g, False)[0])
 
 
 def all_minimum_porous_sets(g: Graph) -> list[tuple[int, ...]]:
@@ -274,7 +319,7 @@ def all_minimum_porous_sets(g: Graph) -> list[tuple[int, ...]]:
     per_comp: list[list[tuple[int, ...]]] = []
     for comp in connected_components(g):
         sub, _ = induced_subgraph(g, comp)
-        _, local_sets = _exponential_search(sub, porous_only=True, collect_all=True)
+        [(_, local_sets)] = _exponential_search(sub, blocked=False, collect_all=True)
         per_comp.append([tuple(comp[v] for v in s) for s in local_sets])
     merged = [
         tuple(sorted(v for part in pick for v in part))

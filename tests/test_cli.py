@@ -1,19 +1,37 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
+import random
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import expodom
 from expodom.cli import SIZE_GUARD, main
-from expodom.graph import Graph, path, star, format_edge_list
+from expodom.graph import Graph, connected_components, path, star, format_edge_list
 from expodom.graph6 import emit_graph6, parse_graph6
+
+from _oracles import random_subcubic_graph_of_order
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, **kwargs):
+    """A fresh interpreter that imports expodom from this checkout."""
+    src = os.path.dirname(os.path.dirname(expodom.__file__))
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, **kwargs,
+    )
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -64,6 +82,46 @@ def test_compute_byte_identical(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "compute", src)
     _, second, _ = run_cli(capsys, "compute", src)
     assert first == second
+
+
+# sha256 of `compute` stdout on eight random subcubic graphs of order 18-22,
+# four of them cyclic, taken while gamma_e and gamma_e_star still ran one
+# subset search each.  The shared scan must print the same bytes.
+PINNED_COMPUTE_DIGEST = "d09d2a85947f645e246eb696169f99cde01b96d53fed8f05be7970b64f0cac16"
+
+
+def test_compute_pinned_stdout(tmp_path, capsys):
+    rng = random.Random(2018)
+    digest = hashlib.sha256()
+    cyclic = 0
+    for i in range(8):
+        g = random_subcubic_graph_of_order(rng, rng.randint(18, 22))
+        cyclic += len(g.edges()) > g.n - len(connected_components(g))
+        code, out, _ = run_cli(capsys, "compute", write_graph(tmp_path, g, f"g{i}.txt"))
+        assert code == 0
+        digest.update(out.encode())
+    assert cyclic == 4
+    assert digest.hexdigest() == PINNED_COMPUTE_DIGEST
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_compute_cover_search_memory(tmp_path, capsys):
+    # the cover search's table grows as n**2 bits: on 128000 isolated
+    # vertices it needs 2 GB, so inside 1 GB the order must be refused
+    big = tmp_path / "big.txt"
+    big.write_text("n 128000\n")
+    done = run_python("-m", "expodom.cli", "compute", str(big), "--no-ilp", "--no-lp",
+                      preexec_fn=_limit_memory)
+    assert done.returncode == 65, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("refusing the domination search at n=128000")
+    code, out, _ = run_cli(capsys, "compute", write_graph(tmp_path, path(3100)),
+                           "--no-ilp", "--no-lp")
+    assert code == 0
+    assert json.loads(out)["gamma"] == 1034
 
 
 def test_compute_size_guard(tmp_path, capsys):
@@ -278,10 +336,22 @@ def test_certificate_error_exit(capsys, monkeypatch):
     # a search that hands back a non-dominating witness must not end in a traceback
     from expodom import solvers
 
-    monkeypatch.setattr(solvers, "_per_component", lambda g, porous_only: (1, (0,)))
+    monkeypatch.setattr(solvers, "_per_component", lambda g, blocked: [(1, (0,))] * 2)
     code, out, err = run_cli(capsys, "compute", "--fixture", "f2")
     assert code == 70
     assert out == ""
     assert err.startswith("expodom: certificate check failed:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_certificate_error_exit_under_optimize():
+    # the witness re-checks are explicit code, so they survive python -O
+    script = (
+        "from expodom import cli, solvers\n"
+        "solvers._per_component = lambda g, blocked: [(1, (0,))] * 2\n"
+        "raise SystemExit(cli.main(['compute', '--fixture', 'f2']))\n"
+    )
+    done = run_python("-O", "-c", script)
+    assert done.returncode == 70, done.stderr
+    assert done.stderr.startswith("expodom: certificate check failed: gamma_e witness")

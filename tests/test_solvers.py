@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expodom import solvers
 from expodom.graph import (
@@ -28,6 +28,7 @@ from expodom.solvers import (
     domination_number,
     domination_with_forced_vertex,
     exponential_domination_number,
+    exponential_parameters,
     porous_exponential_domination_number,
     restricted_domination_number,
 )
@@ -41,6 +42,7 @@ from expodom.weights import (
 from _oracles import (
     brute_all_minimum,
     brute_minimum,
+    graphs,
     random_relabel,
     random_subcubic_graph,
     random_subcubic_graph_of_order,
@@ -209,7 +211,7 @@ def test_tampered_witness_raises(monkeypatch):
     # a cover search or subset search that returns a non-dominating set
     bad = (1, (0,))
     monkeypatch.setattr(solvers, "_min_cover", lambda g, targets, forced=(): bad)
-    monkeypatch.setattr(solvers, "_per_component", lambda g, porous_only: bad)
+    monkeypatch.setattr(solvers, "_per_component", lambda g, blocked: [bad, bad])
     g = path(5)
     for call in (
         lambda: domination_number(g),
@@ -217,9 +219,21 @@ def test_tampered_witness_raises(monkeypatch):
         lambda: domination_with_forced_vertex(g, 0),
         lambda: exponential_domination_number(g),
         lambda: porous_exponential_domination_number(g),
+        lambda: exponential_parameters(g),
     ):
         with pytest.raises(CertificateError):
             call()
+
+
+@pytest.mark.parametrize("tampered", ["gamma_e", "gamma_e_star"])
+def test_tampered_fused_witness_raises(monkeypatch, tampered):
+    # the shared scan hands back one bad witness: its own check must fire
+    g = path(5)
+    optima = solvers._per_component(g, True)  # [gamma_e_star, gamma_e]
+    optima[1 if tampered == "gamma_e" else 0] = (1, (0,))
+    monkeypatch.setattr(solvers, "_per_component", lambda g, blocked: optima)
+    with pytest.raises(CertificateError, match=f"^{tampered} witness"):
+        exponential_parameters(g)
 
 
 # sha256 over (value, witness) of gamma_e and gamma_e_star and over
@@ -254,6 +268,31 @@ def test_exponential_search_pinned_values():
         digest.update(line.encode() + b"\n")
     assert (cyclic, disconnected) == (33, 33)
     assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+def test_exponential_parameters_pinned_values():
+    # the shared scan reproduces the pin of the two separate searches
+    digest = hashlib.sha256()
+    for g in _search_corpus():
+        ge, ges = exponential_parameters(g)
+        line = " ".join(
+            [emit_graph6(g), str(ge.value), repr(ge.witness), "|",
+             str(ges.value), repr(ges.witness), "|",
+             *map(repr, all_minimum_porous_sets(g))]
+        )
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=8))
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(6, [(1, 2), (2, 3)]))
+@example(Graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)]))
+def test_exponential_parameters_match_separate_searches(g):
+    # same values, witnesses and weight profiles as one search per parameter
+    assert exponential_parameters(g) == _exponential_pair(g)
 
 
 @pytest.mark.parametrize(
