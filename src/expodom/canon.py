@@ -4,11 +4,14 @@ Center-rooted AHU encodings: two trees get the same code exactly when they
 are isomorphic.  One iterative walk does all the work: a BFS from the center
 (or from both centers, each seeded as the other's parent), then each
 vertex's code ``(`` + its children's codes in sorted order + ``)``, built in
-reverse BFS order, so no depth of tree can exhaust the call stack.  The same
-codes order every vertex's children for a canonical relabeling (used to emit
-deterministic representatives) and explicit isomorphism maps between trees,
-and their multiplicities give automorphism counts (used by the labeled-count
-enumeration oracle).
+reverse BFS order, so no depth of tree can exhaust the call stack.  The walk
+reads a bare adjacency sequence, so the enumerator codes its candidates
+without building a ``Graph``.  ``tree_from_code`` is the inverse of
+``canonical_code``: it numbers the tree a code spells in BFS order, children
+in code order, and is the one place a canonical representative is built.
+The same codes order every vertex's children for explicit isomorphism maps
+between trees, and their multiplicities give automorphism counts (used by
+the labeled-count enumeration oracle).
 """
 
 from __future__ import annotations
@@ -16,22 +19,21 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graph import Graph, NotTreeError, is_tree, relabel
+from .graph import Graph, NotTreeError, is_tree
 
 
-def tree_centers(g: Graph) -> list[int]:
-    """The one or two middle vertices obtained by repeatedly peeling leaves."""
-    n = g.n
+def _centers(adj) -> list[int]:
+    n = len(adj)
     if n == 1:
         return [0]
-    deg = [g.degree(v) for v in range(n)]
+    deg = [len(a) for a in adj]
     leaves = [v for v in range(n) if deg[v] <= 1]
     removed = len(leaves)
-    while removed < n:
+    while removed < n and leaves:  # no leaves left: a cycle, no center
         nxt = []
         for u in leaves:
             deg[u] = 0
-            for v in g.adj[u]:
+            for v in adj[u]:
                 if deg[v] > 0:
                     deg[v] -= 1
                     if deg[v] == 1:
@@ -41,28 +43,42 @@ def tree_centers(g: Graph) -> list[int]:
     return sorted(leaves)
 
 
-def _walk(g: Graph, roots: list[int]) -> tuple[list[int], list[bytes]]:
+def tree_centers(g: Graph) -> list[int]:
+    """The one or two middle vertices obtained by repeatedly peeling leaves."""
+    if not is_tree(g):
+        raise NotTreeError("centers are defined for trees only")
+    return _centers(g.adj)
+
+
+def _walk(adj, roots: list[int]) -> tuple[list[int], list[bytes]]:
     """One BFS from ``roots``, then AHU codes built leaves-up.
 
-    Returns each vertex's parent (-1 for a lone root) and the code of the
-    subtree hanging from each vertex away from its parent.  Two roots are
-    seeded as each other's parent, so both halves of a two-center tree come
-    out of the same walk.
+    ``adj`` is any sequence of neighbour sequences.  Returns each vertex's
+    parent (-1 for a lone root) and the code of the subtree hanging from
+    each vertex away from its parent.  Two roots are seeded as each other's
+    parent, so both halves of a two-center tree come out of the same walk.
+    A walk that does not visit each vertex exactly once raises NotTreeError.
     """
-    parent = [-1] * g.n
+    n = len(adj)
+    parent = [-1] * n
     if len(roots) == 2:
         a, b = roots
         parent[a], parent[b] = b, a
     order = list(roots)
     for u in order:
-        for v in g.adj[u]:
-            if v != parent[u]:
+        p = parent[u]
+        for v in adj[u]:
+            if v != p:
                 parent[v] = u
                 order.append(v)
-    code = [b""] * g.n
+        if len(order) > n:
+            break
+    if len(order) != n:
+        raise NotTreeError("the walk did not visit every vertex exactly once")
+    code = [b""] * n
     for u in reversed(order):
         p = parent[u]
-        children = sorted([code[v] for v in g.adj[u] if v != p])
+        children = sorted([code[v] for v in adj[u] if v != p])
         code[u] = b"(" + b"".join(children) + b")"
     return parent, code
 
@@ -72,37 +88,43 @@ def rooted_code(g: Graph, root: int) -> bytes:
     rooted isomorphism, so it doubles as a vertex-orbit key."""
     if not is_tree(g):
         raise NotTreeError("rooted codes are defined for trees only")
-    return _walk(g, [root])[1][root]
+    return _walk(g.adj, [root])[1][root]
 
 
-def _center_walk(g: Graph):
+def _center_walk(adj):
     """The walk from the tree's centers, plus the canonical root and code:
     the center whose rooted code is smallest (the lower id on a tie)."""
-    centers = tree_centers(g)
-    parent, code = _walk(g, centers)
+    centers = _centers(adj)
+    parent, code = _walk(adj, centers)
     full, root = min(
-        (b"(" + b"".join(sorted([code[v] for v in g.adj[c]])) + b")", c)
+        (b"(" + b"".join(sorted([code[v] for v in adj[c]])) + b")", c)
         for c in centers
     )
     return full, root, parent, code
+
+
+def _tree_code(adj) -> bytes:
+    """Canonical code of a tree given only as an adjacency sequence, which
+    must be a tree: no check beyond the walk's own count of visits."""
+    return _center_walk(adj)[0]
 
 
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant code: equal codes iff isomorphic trees."""
     if not is_tree(g):
         raise NotTreeError("canonical codes are defined for trees only")
-    return _center_walk(g)[0]
+    return _tree_code(g.adj)
 
 
 def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     """Canonical code plus a relabeling order (order[new_id] = old_id).
 
     Applying the order with ``relabel`` produces the same adjacency for any
-    two isomorphic input trees.
+    two isomorphic input trees: ``tree_from_code(code)``.
     """
     if not is_tree(g):
         raise NotTreeError("canonical order is defined for trees only")
-    code, root, parent, sub = _center_walk(g)
+    code, root, parent, sub = _center_walk(g.adj)
     parent[root] = -1  # a second center becomes the root's child
     order = [root]
     for u in order:
@@ -112,10 +134,54 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     return code, order
 
 
+def _code_adjacency(code: bytes) -> list[tuple[int, ...]]:
+    """Sorted adjacency of the rooted tree that ``code`` spells, numbered in
+    BFS order from the root with each vertex's children in code order.
+
+    Raises ValueError unless ``code`` is one balanced group of the bytes
+    ``(`` and ``)``.
+    """
+    children: list[list[int]] = []
+    stack: list[int] = []
+    for ch in code:
+        if ch == 40:  # "("
+            if stack:
+                children[stack[-1]].append(len(children))
+            elif children:
+                raise ValueError("tree code has more than one root")
+            stack.append(len(children))
+            children.append([])
+        elif ch == 41 and stack:  # ")"
+            stack.pop()
+        else:
+            raise ValueError(f"malformed tree code {code!r}")
+    if stack or not children:
+        raise ValueError(f"unbalanced or empty tree code {code!r}")
+    # BFS from the root: the children of the i-th vertex reached get the
+    # next free ids, so every list comes out sorted (parent first)
+    adj: list[list[int]] = [[] for _ in children]
+    order = [0]
+    for i, u in enumerate(order):
+        for v in children[u]:
+            j = len(order)
+            adj[i].append(j)
+            adj[j].append(i)
+            order.append(v)
+    return [tuple(a) for a in adj]
+
+
+def tree_from_code(code: bytes) -> Graph:
+    """The tree a code spells, the inverse of ``canonical_code``: the BFS
+    numbering of its rooted tree, children in code order.  Raises ValueError
+    on a malformed code."""
+    adj = _code_adjacency(code)
+    # every vertex but the root lists its parent first
+    return Graph(len(adj), [(adj[v][0], v) for v in range(1, len(adj))])
+
+
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of the tree's isomorphism class."""
-    _, order = canonical_order(g)
-    return relabel(g, order)
+    return tree_from_code(canonical_code(g))
 
 
 def tree_isomorphism_map(a: Graph, b: Graph):
@@ -138,8 +204,8 @@ def automorphism_count(g: Graph) -> int:
     doubled when the two halves of a two-center tree are alike."""
     if not is_tree(g):
         raise NotTreeError("automorphism counts implemented for trees only")
-    centers = tree_centers(g)
-    parent, code = _walk(g, centers)
+    centers = _centers(g.adj)
+    parent, code = _walk(g.adj, centers)
     count = 1
     for u in range(g.n):
         p = parent[u]

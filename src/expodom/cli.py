@@ -10,8 +10,11 @@ failed (a bug: a computed optimum did not pass its own re-check).  ``tau``,
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
 are exponential; ``compute`` also refuses graphs above
 ``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables would not
-fit in memory.  ``verify`` and ``conjecture`` default ``--nmax`` per suite
-or scan, and run ``--jobs`` worker processes (default 1).
+fit in memory.  ``enumerate --n`` and the ``--nmax`` of ``verify`` and
+``conjecture`` above ``enumeration.MAX_ORDER`` (22) exit 64 before any tree
+is grown: enumerating beyond it would take hours and run out of memory.
+``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run
+``--jobs`` worker processes (default 1).
 """
 
 from __future__ import annotations

@@ -20,10 +20,12 @@ from typing import Callable
 
 from .canon import canonical_code, tree_isomorphism_map
 from .enumeration import (
+    MAX_ORDER,
     count_subcubic_trees,
     enumerate_subcubic_trees,
     labeled_count_from_classes,
     labeled_subcubic_tree_count,
+    otter_class_count,
     pruefer_class_count,
     trees_up_to,
 )
@@ -395,6 +397,9 @@ def _run_enumcount(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
                 flat.append(
                     (f"n={n}", f"Prufer class count {oracle}", str(ours))
                 )
+        otter = otter_class_count(n)
+        if otter != ours:
+            flat.append((f"n={n}", f"Otter class count {otter}", str(ours)))
         ours_labeled = labeled_count_from_classes(n)
         want_labeled = labeled_subcubic_tree_count(n)
         if ours_labeled != want_labeled:
@@ -436,6 +441,11 @@ def _report(name: str, spec: SuiteSpec, n_max: int | None, jobs: int) -> Report:
     n_max = spec.default_nmax if n_max is None else n_max
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if n_max > MAX_ORDER:
+        # every suite and scan enumerates trees up to n_max
+        raise ValueError(
+            f"n_max must be at most {MAX_ORDER}, the largest tree order enumerated"
+        )
     start = time.monotonic()
     checked, flat = spec.run(n_max, jobs)
     violations = [Violation(*v) for v in sorted(set(flat))]

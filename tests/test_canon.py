@@ -11,9 +11,19 @@ from expodom.canon import (
     canonical_order,
     labeled_copies,
     rooted_code,
+    tree_centers,
+    tree_from_code,
     tree_isomorphism_map,
 )
-from expodom.graph import Graph, NotTreeError, cycle, delete_vertices, path, star
+from expodom.graph import (
+    Graph,
+    NotTreeError,
+    cycle,
+    delete_vertices,
+    path,
+    relabel,
+    star,
+)
 from expodom.enumeration import enumerate_subcubic_trees, trees_up_to
 from expodom.family import generate_family
 from expodom.fixtures import fixture_f1
@@ -42,6 +52,8 @@ def test_non_tree_rejected():
         canonical_code(cycle(4))
     with pytest.raises(NotTreeError):
         rooted_code(Graph(3, [(0, 1)]), 0)
+    with pytest.raises(NotTreeError):
+        tree_centers(cycle(4))
 
 
 def test_canonical_graph_is_stable():
@@ -50,6 +62,48 @@ def test_canonical_graph_is_stable():
         want = canonical_graph(t)
         for _ in range(3):
             assert canonical_graph(random_relabel(rng, t)) == want
+
+
+def _random_labeled_tree(rng, n):
+    """A uniform labeled tree of unbounded degree: vertex i > 0 joins a
+    random earlier vertex, then the labels are shuffled."""
+    return random_relabel(
+        rng, Graph(n, [(i, rng.randrange(i)) for i in range(1, n)])
+    )
+
+
+def _assert_round_trip(g):
+    code, order = canonical_order(g)
+    # the relabel route builds the representative without tree_from_code
+    assert tree_from_code(code) == relabel(g, order)
+    assert canonical_code(tree_from_code(code)) == code
+
+
+def test_tree_from_code_round_trip():
+    rng = random.Random(1974)
+    for t in trees_up_to(11):
+        _assert_round_trip(t)
+        _assert_round_trip(random_relabel(rng, t))
+    for _ in range(200):
+        g = _random_labeled_tree(rng, rng.randint(1, 60))
+        _assert_round_trip(g)
+        _assert_round_trip(random_relabel(rng, g))
+
+
+def test_tree_from_code_reads_children_in_code_order():
+    # root 0, children 1 and 2 in code order, and 1's child numbered next
+    assert tree_from_code(b"((())())") == Graph(4, [(0, 1), (0, 2), (1, 3)])
+    assert tree_from_code(b"()") == Graph(1)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [b"", b"(", b")", b"(()", b"())", b")(", b"()()", b"(())()", b"(x)",
+     b"[]", "()", b"( )"],
+)
+def test_tree_from_code_rejects_malformed(code):
+    with pytest.raises(ValueError):
+        tree_from_code(code)
 
 
 def test_isomorphism_map_is_an_isomorphism():

@@ -25,12 +25,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args, **kwargs):
+def run_python(*args, timeout=60, **kwargs):
     """A fresh interpreter that imports expodom from this checkout."""
     src = os.path.dirname(os.path.dirname(expodom.__file__))
     return subprocess.run(
         [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60, **kwargs,
+        capture_output=True, text=True, timeout=timeout, **kwargs,
     )
 
 
@@ -169,6 +169,42 @@ def test_enumerate(capsys):
     lines = out.split()
     assert len(lines) == 2
     assert {parse_graph6(s).n for s in lines} == {4}
+
+
+# sha256 of `enumerate --n k` stdout, taken from the enumerator that built
+# and canonized a Graph for every grown candidate
+PINNED_ENUMERATE_DIGESTS = {
+    14: "54ceb3cf35f45fa8f8fd61010bd075241981ca1243c309d611398d834ebaeb4e",
+    15: "a8273822378b8384a8359cbde2cfdf1881003173cd8a5e33b42b869c24a55491",
+    16: "92196e02f81e4173903955444fbb2eec09eb932b5215c952401bcd4f219438b8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_ENUMERATE_DIGESTS))
+def test_enumerate_pinned_stdout(capsys, n):
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ENUMERATE_DIGESTS[n]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--n", "1000000"),
+        ("verify", "--suite", "theorem2", "--nmax", "1000000"),
+        ("verify", "--suite", "enumcount", "--nmax", "23"),
+        ("conjecture", "--id", "1", "--nmax", "1000000"),
+    ],
+)
+def test_huge_tree_order_is_refused_up_front(argv):
+    # a fresh process with a short timeout: a missing guard starts hours of
+    # work, which fails the test instead of hanging it
+    result = run_python("-m", "expodom.cli", *argv, timeout=10)
+    assert result.returncode == 64
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("expodom: ")
+    assert "22" in result.stderr
 
 
 def test_tau_cli(tmp_path, capsys):

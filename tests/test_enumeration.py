@@ -6,6 +6,7 @@ from expodom.enumeration import (
     enumerate_subcubic_trees,
     labeled_count_from_classes,
     labeled_subcubic_tree_count,
+    otter_class_count,
     pruefer_class_count,
     tree_from_pruefer,
 )
@@ -37,6 +38,22 @@ def test_counts_match_literal_oracle_small():
 def test_counts_match_labeled_identity():
     for n in range(1, 11):
         assert labeled_count_from_classes(n) == labeled_subcubic_tree_count(n)
+
+
+# OEIS A000672: trees with maximum degree at most 3, orders 1..22
+A000672 = [
+    1, 1, 1, 2, 2, 4, 6, 11, 18, 37, 66, 135, 265, 552, 1132, 2410, 5098,
+    11020, 23846, 52233, 114796, 254371,
+]
+
+
+def test_otter_count_matches_oeis():
+    assert [otter_class_count(n) for n in range(1, 23)] == A000672
+
+
+def test_counts_match_otter():
+    for n in range(1, 17):
+        assert count_subcubic_trees(n) == otter_class_count(n)
 
 
 def test_enumerated_are_canonical_subcubic_trees():

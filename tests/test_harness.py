@@ -118,3 +118,16 @@ def test_theorem4_reduce_flags_missing_hit():
 def test_lemma2_runs_fixed_pair_count():
     report = run_suite("lemma2", 6)
     assert report.checked == 500
+
+
+def test_enumcount_reports_an_otter_mismatch(monkeypatch):
+    from expodom import harness
+
+    # an enumerator that lost one class at n = 10, past the literal oracle
+    real = harness.count_subcubic_trees
+    monkeypatch.setattr(
+        harness, "count_subcubic_trees", lambda n: real(n) - (n == 10)
+    )
+    report = run_suite("enumcount", 10)
+    assert [v.expected for v in report.violations] == ["Otter class count 37"]
+    assert report.violations[0].observed == "36"
