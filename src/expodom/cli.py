@@ -8,11 +8,16 @@ them), 65 malformed or oversized data, 70 an internal certificate check
 failed (a bug: a computed optimum did not pass its own re-check).  ``tau``,
 ``family --recognize`` and the searches of ``compute`` (unless ``--force``)
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
-are exponential; ``compute`` also refuses graphs above
-``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables would not
-fit in memory.  ``enumerate --n`` and the ``--nmax`` of ``verify`` and
-``conjecture`` above ``enumeration.MAX_ORDER`` (22) exit 64 before any tree
-is grown: enumerating beyond it would take hours and run out of memory.
+are exponential.  ``compute`` also refuses the fractional relaxation above
+``lp.LP_ORDER_LIMIT`` (100) vertices unless ``--no-lp`` or ``--force`` is
+given, because the exact simplex grows as about n**5.5, and refuses graphs
+above ``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables
+would not fit in memory; every limit is checked before any work starts.
+``enumerate --n`` and the ``--nmax`` of ``verify`` and ``conjecture`` above
+``enumeration.MAX_ORDER`` (22) exit 64 before any tree is grown: enumerating
+beyond it would take hours and run out of memory.  ``family --nmax`` above
+``family.MAX_ORDER`` (18) and ``f1:<k>`` fixtures above ``graph.MAX_ORDER``
+vertices exit 64 before anything is built.
 ``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run
 ``--jobs`` worker processes (default 1).
 """
@@ -38,7 +43,7 @@ from .graph import (
 )
 from .graph6 import emit_graph6, parse_graph6
 from .harness import SCANS, SUITES, run_suite, search_counterexample
-from .lp import fractional_porous_number
+from .lp import LP_ORDER_LIMIT, fractional_porous_number
 from .solvers import COVER_ORDER_LIMIT, domination_number, exponential_parameters
 
 EXIT_OK = 0
@@ -94,27 +99,32 @@ def _load_graph(source: str | None, fmt: str, fixture: str | None = None) -> Gra
             raise edge_err if looks_like_edges else g6_err from None
 
 
-def _refused(g: Graph, what: str, why: str) -> bool:
-    """Say on stderr that ``what`` is refused when g exceeds SIZE_GUARD."""
-    if g.n <= SIZE_GUARD:
+def _refused(g: Graph, what: str, why: str, limit: int = SIZE_GUARD) -> bool:
+    """Say on stderr that ``what`` is refused when g exceeds ``limit``."""
+    if g.n <= limit:
         return False
-    print(f"refusing {what} at n={g.n} > {SIZE_GUARD}{why}", file=sys.stderr)
+    print(f"refusing {what} at n={g.n} > {limit}{why}", file=sys.stderr)
     return True
 
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args.input, args.format, args.fixture)
     want_ilp = not args.no_ilp
-    if want_ilp and not args.force and _refused(
-        g, "the exponential searches", "; pass --force or --no-ilp"
-    ):
-        return EXIT_DATA
-    if g.n > COVER_ORDER_LIMIT:
-        print(
-            f"refusing the domination search at n={g.n} > {COVER_ORDER_LIMIT}: "
-            "its bitmask tables grow as n**2 bits",
-            file=sys.stderr,
+    # every limit is checked before any work starts; one refusal is printed
+    if (
+        want_ilp and not args.force and _refused(
+            g, "the exponential searches", "; pass --force or --no-ilp"
         )
+        or not args.no_lp and not args.force and _refused(
+            g, "the fractional relaxation",
+            ": its exact simplex grows as about n**5.5; pass --force or --no-lp",
+            LP_ORDER_LIMIT,
+        )
+        or _refused(
+            g, "the domination search", ": its bitmask tables grow as n**2 bits",
+            COVER_ORDER_LIMIT,
+        )
+    ):
         return EXIT_DATA
     gamma = domination_number(g)
     out = {"n": g.n, "gamma": gamma.value, "gamma_witness": list(gamma.witness)}
@@ -217,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-lp", action="store_true",
                    help="skip the fractional relaxation")
     p.add_argument("--force", action="store_true",
-                   help="override the size guard on exponential searches")
+                   help="override the size guards on the exponential searches "
+                        "and on the fractional relaxation")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("enumerate", help="stream non-isomorphic subcubic trees")

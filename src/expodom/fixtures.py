@@ -10,12 +10,16 @@
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import MAX_ORDER, Graph
 
 
 def fixture_f1(k: int) -> Graph:
     if k < 1:
         raise ValueError("spine length must be at least 1")
+    if 3 * k + 4 > MAX_ORDER:
+        raise ValueError(
+            f"fixture f1:{k} has {3 * k + 4} vertices, above the order limit {MAX_ORDER}"
+        )
     edges = [(i, i + 1) for i in range(k - 1)]
     nxt = k
     for i in range(k):

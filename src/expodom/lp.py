@@ -64,6 +64,12 @@ def solve_exact(model: LpModel) -> LpSolution:
     return LpSolution("optimal", tuple(res.x), tuple(res.y), res.objective)
 
 
+# The exact simplex grows as about n**5.5: path(80) takes 4 s, path(100)
+# 15 s, and path(2000) runs out of memory.  ``compute`` refuses larger graphs
+# unless forced.
+LP_ORDER_LIMIT = 100
+
+
 @lru_cache(maxsize=4096)
 def fractional_porous_number(g: Graph) -> Fraction:
     """Optimum of the porous LP relaxation; always attained and rational."""

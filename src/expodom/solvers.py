@@ -4,23 +4,19 @@ All searches are exhaustive with pruning, never heuristic:
 
 * classical/restricted/forced domination run a lexicographic depth-first
   cover search over closed-neighborhood bitmasks with suffix-union pruning;
-* the exponential parameters iterate deepening on the set size k, starting
-  at the ceiling of the fractional porous optimum, and scan size-k subsets
-  in lexicographic order; candidate sets must pass the cheap porous check
-  (the rows of ``weights.porous_rows``, summed as the set grows) before the
-  blocked variant runs ``is_exponential_dominating``.  Both read the one
+* the exponential parameters read one stream per component,
+  ``_porous_leaves``: every porous-feasible set (the rows of
+  ``weights.porous_rows``, summed as the set grows), one size at a time
+  from the ceiling of the fractional porous optimum up, lexicographic within
+  a size, each set searched for only when it is read.  Each entry point
+  stops reading once it has what it needs: gamma_e_star takes the first set,
+  ``all_minimum_porous_sets`` the first non-empty size, gamma_e the first
+  set that passes ``is_exponential_dominating``, and
+  ``exponential_parameters`` both from one pass.  All of them read the one
   integer influence kernel, ``weights.influence``.
 
-One scan yields both exponential optima (``exponential_parameters``).
 Blocked weight never exceeds porous weight, so every exponential dominating
-set is porous dominating and gamma_e_star <= gamma_e.  The blocked scan
-records the first porous-feasible leaf it meets, and that leaf is exactly
-the set the porous-only scan would return: below gamma_e_star no level has
-a porous-feasible leaf; both scans walk the same pruned tree in the same
-order; and the blocked check runs only on porous-feasible leaves, so the
-blocked scan cannot stop before it reaches the first of them.
-``porous_exponential_domination_number`` keeps the porous-only scan, which
-stops at gamma_e_star.
+set is porous dominating: it appears in the stream, and gamma_e_star <= gamma_e.
 
 The subset search packs each weight vector into one int, a field of
 ``width = n + (2n).bit_length() + 1`` bits per vertex, so a search node
@@ -44,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .graph import CertificateError, Graph, connected_components, induced_subgraph
 from .lp import fractional_porous_number
@@ -71,7 +67,6 @@ class DomCertificate:
     value: int
     witness: tuple[int, ...]
     profile: WeightProfile | None = None
-    dominating: bool | None = None
 
 
 def _certify(ok: bool, what: str) -> None:
@@ -161,7 +156,7 @@ def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
 def domination_number(g: Graph) -> DomCertificate:
     value, witness = _min_cover(g, range(g.n))
     _certify(is_dominating(g, witness), "gamma witness does not dominate")
-    return DomCertificate("gamma", value, witness, dominating=True)
+    return DomCertificate("gamma", value, witness)
 
 
 def restricted_domination_number(g: Graph, targets) -> DomCertificate:
@@ -173,7 +168,7 @@ def restricted_domination_number(g: Graph, targets) -> DomCertificate:
         is_restricted_dominating(g, witness, tset),
         "restricted witness misses a target",
     )
-    return DomCertificate("gamma_restricted", value, witness, dominating=True)
+    return DomCertificate("gamma_restricted", value, witness)
 
 
 def domination_with_forced_vertex(g: Graph, x: int) -> int:
@@ -190,15 +185,16 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
 # -- exponential domination: LP-seeded subset search -------------------------
 
 
-def _exponential_search(g: Graph, blocked: bool, collect_all: bool = False):
-    """Optima of the lexicographic subset scan, smallest k first.
-
-    Returns ``[porous]``, or ``[porous, exponential]`` when ``blocked``: each
-    is (k, first witness), and with ``collect_all`` the porous one is
-    (k, [every minimum porous set]).  Connected or not, the graph is
-    searched whole; callers decompose first for speed.
-    """
+def _porous_leaves(g: Graph):
+    """Every porous-feasible set of g, level by level: (k, an iterator over
+    the feasible k-sets in lexicographic order) for k from the ceiling of the
+    fractional porous optimum on.  Each set is searched for only when it is
+    read, so a reader that stops at a level's end starts no later level.
+    Connected or not, the graph is searched whole; callers decompose first
+    for speed."""
     n = g.n
+    if n == 0:  # the empty set dominates the empty graph
+        yield 0, iter([()])
     # Each weight vector is one int, vertex u's scaled weight in the field of
     # bits [u * width, (u + 1) * width).  A field never exceeds
     # k * 2**(n + 1) <= n * 2**(n + 1) < 2**(width - 1) (at most k dominators,
@@ -222,70 +218,79 @@ def _exponential_search(g: Graph, blocked: bool, collect_all: bool = False):
     low = pack([(1 << (width - n - 1)) - 1] * n)
     top = pack([1 << (width - n - 1)] * n)
 
-    hits: list[tuple[int, ...]] = []  # porous-feasible leaves kept so far
-    found: list[tuple[int, ...]] = []  # the first exponential dominating leaf
-
-    def rec(start: int, slots: int, w: int, chosen) -> bool:
-        """Scan the sets that extend ``chosen`` by ``slots`` vertices from
-        ``start`` on, a node that passed the prune; True ends the scan."""
+    def level(start: int, slots: int, w: int, chosen):
+        """The feasible sets that extend ``chosen`` by ``slots`` vertices
+        from ``start`` on, below a node that passed the prune."""
         if slots > 1:
             rest = slots - 1
             for v in range(start, n - rest):
                 x = w + prow[v]
                 # the child's prune, tested here to spare the call
                 if ((((x + rest * psuf[v + 1]) >> n) & low) + low) & top == top:
-                    chosen.append(v)
-                    stop = rec(v + 1, rest, x, chosen)
-                    chosen.pop()
-                    if stop:
-                        return True
-            return False
+                    yield from level(v + 1, rest, x, (*chosen, v))
+            return
         for v in range(start, n):
             if ((((w + prow[v]) >> n) & low) + low) & top == top:
-                leaf = (*chosen, v)
-                if not blocked:
-                    hits.append(leaf)
-                    if not collect_all:
-                        return True
-                    continue
-                if not hits:
-                    hits.append(leaf)
-                if is_exponential_dominating(g, leaf):
-                    found.append(leaf)
-                    return True
-        return False
+                yield (*chosen, v)
 
-    porous = None
-    k0 = max(1, math.ceil(fractional_porous_number(g)))
-    for k in range(k0, n + 1):
+    for k in range(max(1, math.ceil(fractional_porous_number(g))), n + 1):
         if ((((k * psuf[0]) >> n) & low) + low) & top == top:
-            rec(0, k, 0, [])
-        if hits and porous is None:
-            porous = (k, hits if collect_all else hits[0])
+            yield k, level(0, k, 0, ())
+
+
+# Readers of one component's stream: each returns one (k, sets) per
+# parameter, and stops reading once it has them.
+
+
+def _first_porous(g: Graph, levels):
+    for k, sets in levels:
+        for leaf in sets:
+            return [(k, [leaf])]
+
+
+def _first_level(g: Graph, levels):
+    for k, sets in levels:
+        found = list(sets)
         if found:
-            return [porous, (k, found[0])]
-        if porous and not blocked:
-            return [porous]
-    raise RuntimeError("exponential search failed to terminate")  # unreachable
+            return [(k, found)]
 
 
-def _per_component(g: Graph, blocked: bool):
-    """``_exponential_search`` per component, values summed and witnesses
-    merged back into g's labels."""
-    totals = [(0, [])] * (1 + blocked)
-    for comp in connected_components(g):
+def _first_exponential(g: Graph, levels):
+    for k, sets in levels:
+        for leaf in sets:
+            if is_exponential_dominating(g, leaf):
+                return [(k, [leaf])]
+
+
+def _first_both(g: Graph, levels):
+    for k, sets in levels:
+        for leaf in sets:  # the blocked scan resumes at the first porous set
+            resumed = chain([(k, chain([leaf], sets))], levels)
+            return [(k, [leaf]), *_first_exponential(g, resumed)]
+
+
+def _per_component(g: Graph, take):
+    """``take(sub, _porous_leaves(sub))`` on each component ``sub`` of g, the
+    empty graph being one empty component.  Each (k, sets) that ``take``
+    returns becomes (k summed over the components, every union of one set
+    per component), back in g's labels and sorted."""
+    results = []
+    for comp in connected_components(g) or [[]]:
         sub, _ = induced_subgraph(g, comp)
-        totals = [
-            (total + k, witness + [comp[v] for v in local])
-            for (total, witness), (k, local) in zip(
-                totals, _exponential_search(sub, blocked)
-            )
-        ]
-    return [(total, tuple(sorted(witness))) for total, witness in totals]
+        results.append([
+            (k, [[comp[v] for v in s] for s in sets])
+            for k, sets in take(sub, _porous_leaves(sub))
+        ])
+    merged = []
+    for parts in zip(*results):  # one column per (k, sets) that take returns
+        unions = (sorted(chain(*pick)) for pick in product(*(s for _, s in parts)))
+        merged.append((sum(k for k, _ in parts), sorted(map(tuple, unions))))
+    return merged
 
 
-def _exponential_certificate(g: Graph, parameter: str, value: int, witness):
-    """Re-check one witness on its own, against its own weight profile."""
+def _exponential_certificate(g: Graph, parameter: str, value: int, sets):
+    """Re-check the first of ``sets`` on its own, against its own profile."""
+    witness = sets[0]
     if g.n == 0:
         return DomCertificate(parameter, value, witness)
     profile = weight_profile(g, witness)
@@ -296,8 +301,8 @@ def _exponential_certificate(g: Graph, parameter: str, value: int, witness):
 
 def exponential_parameters(g: Graph) -> tuple[DomCertificate, DomCertificate]:
     """The gamma_e and gamma_e_star certificates, in that order, from one
-    scan per component."""
-    porous, blocked = _per_component(g, True)
+    pass over each component's leaf stream."""
+    porous, blocked = _per_component(g, _first_both)
     return (
         _exponential_certificate(g, "gamma_e", *blocked),
         _exponential_certificate(g, "gamma_e_star", *porous),
@@ -305,24 +310,15 @@ def exponential_parameters(g: Graph) -> tuple[DomCertificate, DomCertificate]:
 
 
 def exponential_domination_number(g: Graph) -> DomCertificate:
-    return _exponential_certificate(g, "gamma_e", *_per_component(g, True)[1])
+    blocked = _per_component(g, _first_exponential)[0]
+    return _exponential_certificate(g, "gamma_e", *blocked)
 
 
 def porous_exponential_domination_number(g: Graph) -> DomCertificate:
-    return _exponential_certificate(g, "gamma_e_star", *_per_component(g, False)[0])
+    porous = _per_component(g, _first_porous)[0]
+    return _exponential_certificate(g, "gamma_e_star", *porous)
 
 
 def all_minimum_porous_sets(g: Graph) -> list[tuple[int, ...]]:
     """Every porous exponential dominating set of minimum size, sorted."""
-    if g.n == 0:
-        return [()]
-    per_comp: list[list[tuple[int, ...]]] = []
-    for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
-        [(_, local_sets)] = _exponential_search(sub, blocked=False, collect_all=True)
-        per_comp.append([tuple(comp[v] for v in s) for s in local_sets])
-    merged = [
-        tuple(sorted(v for part in pick for v in part))
-        for pick in product(*per_comp)
-    ]
-    return sorted(merged)
+    return _per_component(g, _first_level)[0][1]

@@ -13,7 +13,16 @@ from hypothesis import given, settings, strategies as st
 
 import expodom
 from expodom.cli import SIZE_GUARD, main
-from expodom.graph import Graph, connected_components, path, star, format_edge_list
+from expodom.family import MAX_ORDER as FAMILY_MAX_ORDER
+from expodom.graph import (
+    MAX_ORDER,
+    Graph,
+    connected_components,
+    format_edge_list,
+    path,
+    star,
+)
+from expodom.lp import LP_ORDER_LIMIT
 from expodom.graph6 import emit_graph6, parse_graph6
 
 from _oracles import random_subcubic_graph_of_order
@@ -207,6 +216,56 @@ def test_huge_tree_order_is_refused_up_front(argv):
     assert "22" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("family", "--nmax", "1000000"), FAMILY_MAX_ORDER),
+        (("fixture", "--id", "f1:100000000"), MAX_ORDER),
+        (("fixture", "--id", "f1:90000", "--format", "edgelist"), MAX_ORDER),
+    ],
+)
+def test_oversized_build_is_refused_up_front(argv, limit):
+    # hours of family growth, or a fixture too large to parse back, is
+    # refused in a fresh process with a short timeout and 1 GB of memory
+    done = run_python("-m", "expodom.cli", *argv, timeout=10, preexec_fn=_limit_memory)
+    assert done.returncode == 64, done.stderr
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("expodom: ")
+    assert str(limit) in done.stderr
+
+
+@pytest.mark.parametrize("n", [150, 2000])
+def test_compute_lp_guard(tmp_path, n):
+    # the exact simplex runs for minutes on P150 and runs out of memory on
+    # P2000: both are refused before any work starts
+    src = write_graph(tmp_path, path(n))
+    done = run_python("-m", "expodom.cli", "compute", src, "--no-ilp",
+                      timeout=10, preexec_fn=_limit_memory)
+    assert done.returncode == 65, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith(
+        f"refusing the fractional relaxation at n={n} > {LP_ORDER_LIMIT}"
+    )
+    assert done.stderr.count("\n") == 1
+    assert "--force or --no-lp" in done.stderr
+
+
+def test_compute_lp_guard_skipped_or_forced(tmp_path, capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "compute", write_graph(tmp_path, path(101)),
+                           "--no-ilp", "--no-lp")
+    assert code == 0
+    assert json.loads(out)["gamma"] == 34
+    from expodom import cli
+
+    monkeypatch.setattr(cli, "LP_ORDER_LIMIT", 5)
+    src = write_graph(tmp_path, path(6))
+    assert run_cli(capsys, "compute", src)[0] == 65
+    code, out, _ = run_cli(capsys, "compute", src, "--force")
+    assert code == 0
+    assert json.loads(out)["gamma_ef_star"] == {"num": "4", "den": "3"}
+
+
 def test_tau_cli(tmp_path, capsys):
     src = write_graph(tmp_path, path(3))
     code, out, _ = run_cli(capsys, "tau", src, "--vertex", "0")
@@ -372,7 +431,7 @@ def test_certificate_error_exit(capsys, monkeypatch):
     # a search that hands back a non-dominating witness must not end in a traceback
     from expodom import solvers
 
-    monkeypatch.setattr(solvers, "_per_component", lambda g, blocked: [(1, (0,))] * 2)
+    monkeypatch.setattr(solvers, "_per_component", lambda g, take: [(1, [(0,)])] * 2)
     code, out, err = run_cli(capsys, "compute", "--fixture", "f2")
     assert code == 70
     assert out == ""
@@ -385,7 +444,7 @@ def test_certificate_error_exit_under_optimize():
     # the witness re-checks are explicit code, so they survive python -O
     script = (
         "from expodom import cli, solvers\n"
-        "solvers._per_component = lambda g, blocked: [(1, (0,))] * 2\n"
+        "solvers._per_component = lambda g, take: [(1, [(0,)])] * 2\n"
         "raise SystemExit(cli.main(['compute', '--fixture', 'f2']))\n"
     )
     done = run_python("-O", "-c", script)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -211,7 +212,7 @@ def test_tampered_witness_raises(monkeypatch):
     # a cover search or subset search that returns a non-dominating set
     bad = (1, (0,))
     monkeypatch.setattr(solvers, "_min_cover", lambda g, targets, forced=(): bad)
-    monkeypatch.setattr(solvers, "_per_component", lambda g, blocked: [bad, bad])
+    monkeypatch.setattr(solvers, "_per_component", lambda g, take: [(1, [(0,)])] * 2)
     g = path(5)
     for call in (
         lambda: domination_number(g),
@@ -229,11 +230,57 @@ def test_tampered_witness_raises(monkeypatch):
 def test_tampered_fused_witness_raises(monkeypatch, tampered):
     # the shared scan hands back one bad witness: its own check must fire
     g = path(5)
-    optima = solvers._per_component(g, True)  # [gamma_e_star, gamma_e]
-    optima[1 if tampered == "gamma_e" else 0] = (1, (0,))
-    monkeypatch.setattr(solvers, "_per_component", lambda g, blocked: optima)
+    optima = solvers._per_component(g, solvers._first_both)  # [gamma_e_star, gamma_e]
+    optima[1 if tampered == "gamma_e" else 0] = (1, [(0,)])
+    monkeypatch.setattr(solvers, "_per_component", lambda g, take: optima)
     with pytest.raises(CertificateError, match=f"^{tampered} witness"):
         exponential_parameters(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+@example(Graph(0))
+@example(Graph(5, [(0, 1), (2, 3)]))
+def test_porous_stream_is_every_feasible_set_in_order(g):
+    streamed = [(k, leaf) for k, sets in solvers._porous_leaves(g) for leaf in sets]
+    start = max(1, math.ceil(fractional_porous_number(g))) if g.n else 0
+    want = [
+        (k, cand)
+        for k in range(start, g.n + 1)
+        for cand in combinations(range(g.n), k)
+        if is_porous_exponential_dominating(g, cand)
+    ]
+    assert streamed == want
+
+
+def test_porous_readers_stop_at_the_first_level(monkeypatch):
+    # on f2 (gamma_e_star = 4, gamma_e = 6) the porous readers must neither
+    # run the blocked check nor search the sets of size 5
+    checked, sizes = [], set()
+    search, blocked_check = solvers._porous_leaves, solvers.is_exponential_dominating
+
+    def read(sets):
+        for leaf in sets:
+            sizes.add(len(leaf))
+            yield leaf
+
+    def recorded_search(g):
+        for k, sets in search(g):
+            yield k, read(sets)
+
+    def counted_check(g, dominators):
+        checked.append(dominators)
+        return blocked_check(g, dominators)
+
+    monkeypatch.setattr(solvers, "_porous_leaves", recorded_search)
+    monkeypatch.setattr(solvers, "is_exponential_dominating", counted_check)
+    g = fixture_f2()
+    assert porous_exponential_domination_number(g).value == 4
+    assert fixture_f2_porous_witness() in all_minimum_porous_sets(g)
+    assert (checked, sizes) == ([], {4})
+    # the blocked reader does read on, through the same instruments
+    assert exponential_domination_number(g).value == 6
+    assert checked and sizes == {4, 5, 6}
 
 
 # sha256 over (value, witness) of gamma_e and gamma_e_star and over
