@@ -5,10 +5,12 @@ are isomorphic.  One iterative walk does all the work: a BFS from the center
 (or from both centers, each seeded as the other's parent), then each
 vertex's code ``(`` + its children's codes in sorted order + ``)``, built in
 reverse BFS order, so no depth of tree can exhaust the call stack.  The walk
-reads a bare adjacency sequence, so the enumerator codes its candidates
-without building a ``Graph``.  ``tree_from_code`` is the inverse of
-``canonical_code``: it numbers the tree a code spells in BFS order, children
-in code order, and is the one place a canonical representative is built.
+is also the tree check: it raises NotTreeError on any other graph.  It
+reads a bare adjacency sequence, so the enumerator and the Prufer oracle
+code their trees without building a ``Graph``.  ``tree_from_code`` is the
+inverse of ``canonical_code``: it numbers the tree a code spells in BFS
+order, children in code order, and is the one place a canonical
+representative is built.
 The same codes order every vertex's children for explicit isomorphism maps
 between trees, and their multiplicities give automorphism counts (used by
 the labeled-count enumeration oracle).
@@ -24,8 +26,6 @@ from .graph import Graph, NotTreeError, is_tree
 
 def _centers(adj) -> list[int]:
     n = len(adj)
-    if n == 1:
-        return [0]
     deg = [len(a) for a in adj]
     leaves = [v for v in range(n) if deg[v] <= 1]
     removed = len(leaves)
@@ -57,13 +57,18 @@ def _walk(adj, roots: list[int]) -> tuple[list[int], list[bytes]]:
     parent (-1 for a lone root) and the code of the subtree hanging from
     each vertex away from its parent.  Two roots are seeded as each other's
     parent, so both halves of a two-center tree come out of the same walk.
-    A walk that does not visit each vertex exactly once raises NotTreeError.
+    It is the tree check: NotTreeError unless there is one root, or two
+    adjacent ones, and n entries.  An entry of a cycle vertex skips one
+    neighbour, so it appends another cycle vertex: a walk reaching a cycle
+    runs past n entries.  In a tree each vertex is entered once.
     """
     n = len(adj)
     parent = [-1] * n
-    if len(roots) == 2:
+    if len(roots) == 2 and roots[1] in adj[roots[0]]:
         a, b = roots
         parent[a], parent[b] = b, a
+    elif len(roots) != 1:
+        raise NotTreeError("not a tree: no single center or central edge")
     order = list(roots)
     for u in order:
         p = parent[u]
@@ -74,7 +79,7 @@ def _walk(adj, roots: list[int]) -> tuple[list[int], list[bytes]]:
         if len(order) > n:
             break
     if len(order) != n:
-        raise NotTreeError("the walk did not visit every vertex exactly once")
+        raise NotTreeError("not a tree: the walk missed or revisited a vertex")
     code = [b""] * n
     for u in reversed(order):
         p = parent[u]
@@ -86,8 +91,6 @@ def _walk(adj, roots: list[int]) -> tuple[list[int], list[bytes]]:
 def rooted_code(g: Graph, root: int) -> bytes:
     """AHU code of the tree rooted at ``root``; identifies (tree, root) up to
     rooted isomorphism, so it doubles as a vertex-orbit key."""
-    if not is_tree(g):
-        raise NotTreeError("rooted codes are defined for trees only")
     return _walk(g.adj, [root])[1][root]
 
 
@@ -104,15 +107,12 @@ def _center_walk(adj):
 
 
 def _tree_code(adj) -> bytes:
-    """Canonical code of a tree given only as an adjacency sequence, which
-    must be a tree: no check beyond the walk's own count of visits."""
+    """Canonical code of a tree given only as an adjacency sequence."""
     return _center_walk(adj)[0]
 
 
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant code: equal codes iff isomorphic trees."""
-    if not is_tree(g):
-        raise NotTreeError("canonical codes are defined for trees only")
     return _tree_code(g.adj)
 
 
@@ -122,8 +122,6 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     Applying the order with ``relabel`` produces the same adjacency for any
     two isomorphic input trees: ``tree_from_code(code)``.
     """
-    if not is_tree(g):
-        raise NotTreeError("canonical order is defined for trees only")
     code, root, parent, sub = _center_walk(g.adj)
     parent[root] = -1  # a second center becomes the root's child
     order = [root]
@@ -202,8 +200,6 @@ def automorphism_count(g: Graph) -> int:
     """Order of the automorphism group of a tree: the product, over every
     vertex, of the factorials of the multiplicities of its children's codes,
     doubled when the two halves of a two-center tree are alike."""
-    if not is_tree(g):
-        raise NotTreeError("automorphism counts implemented for trees only")
     centers = _centers(g.adj)
     parent, code = _walk(g.adj, centers)
     count = 1

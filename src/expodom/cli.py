@@ -4,8 +4,8 @@ Subcommands: compute, enumerate, tau, family, verify, conjecture, fixture.
 All results are JSON on stdout (rationals as {"num", "den"} decimal strings)
 so identical invocations produce byte-identical output.  Exit codes: 0
 success, 2 suite violations, 64 usage errors (``--nmax`` below 1 among
-them), 65 malformed or oversized data, 70 an internal certificate check
-failed (a bug: a computed optimum did not pass its own re-check).  ``tau``,
+them), 65 malformed or oversized data or memory run out, 70 a failed
+internal certificate check (a bug: an optimum failed its re-check).  ``tau``,
 ``family --recognize`` and the searches of ``compute`` (unless ``--force``)
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
 are exponential.  ``compute`` also refuses the fractional relaxation above
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"expodom: certificate check failed: {exc}", file=sys.stderr)
         return EXIT_SOFTWARE
+    except MemoryError:
+        print("expodom: out of memory: the input is too large", file=sys.stderr)
+        return EXIT_DATA
 
 
 def entry() -> None:

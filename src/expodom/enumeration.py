@@ -31,7 +31,6 @@ from typing import Iterator
 from .canon import (
     _code_adjacency,
     _tree_code,
-    canonical_code,
     labeled_copies,
     tree_from_code,
 )
@@ -101,31 +100,33 @@ def trees_up_to(n_max: int) -> Iterator[Graph]:
 # -- count oracles: Prufer sequences and Otter's series --------------------
 
 
-def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
-    """Decode a Prufer sequence over labels 0..n-1 (length n-2) to a tree."""
+def _pruefer_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
+    """Adjacency lists of the tree a Prufer sequence over 0..n-1 encodes."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     if n == 1:
-        return Graph(1)
+        return adj
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     # pointer scan: the smallest-id leaf pairs with the next sequence entry
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
-    edges = []
+    ptr = leaf = degree.index(1)
     for v in seq:
-        edges.append((leaf, v))
+        adj[leaf].append(v)
+        adj[v].append(leaf)
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
             leaf = v
         else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
-    return Graph(n, edges)
+            ptr = leaf = degree.index(1, ptr + 1)
+    adj[leaf].append(n - 1)
+    adj[n - 1].append(leaf)
+    return adj
+
+
+def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
+    """Decode a Prufer sequence over labels 0..n-1 (length n-2) to a tree."""
+    adj = _pruefer_adjacency(seq, n)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def _bounded_sequences(n: int, length: int) -> Iterator[tuple[int, ...]]:
@@ -149,13 +150,13 @@ def _bounded_sequences(n: int, length: int) -> Iterator[tuple[int, ...]]:
 
 
 def pruefer_class_count(n: int) -> int:
-    """Literal oracle: decode every degree-bounded Prufer sequence and count
-    isomorphism classes via canonical codes.  Exhaustive; use for small n."""
+    """Literal oracle: decode every degree-bounded Prufer sequence to bare
+    adjacency lists and count classes by canonical code.  Exhaustive."""
     if n <= 2:
         return 1
     seen: set[bytes] = set()
     for seq in _bounded_sequences(n, n - 2):
-        seen.add(canonical_code(tree_from_pruefer(seq, n)))
+        seen.add(_tree_code(_pruefer_adjacency(seq, n)))
     return len(seen)
 
 

@@ -7,13 +7,14 @@ All searches are exhaustive with pruning, never heuristic:
 * the exponential parameters read one stream per component,
   ``_porous_leaves``: every porous-feasible set (the rows of
   ``weights.porous_rows``, summed as the set grows), one size at a time
-  from the ceiling of the fractional porous optimum up, lexicographic within
-  a size, each set searched for only when it is read.  Each entry point
-  stops reading once it has what it needs: gamma_e_star takes the first set,
-  ``all_minimum_porous_sets`` the first non-empty size, gamma_e the first
-  set that passes ``is_exponential_dominating``, and
-  ``exponential_parameters`` both from one pass.  All of them read the one
-  integer influence kernel, ``weights.influence``.
+  from 1 up, lexicographic within a size, each set searched for only when
+  it is read.  Each entry point stops reading once it has what it needs:
+  gamma_e_star takes the first set, ``all_minimum_porous_sets`` the first
+  non-empty size, gamma_e the first set that passes
+  ``is_exponential_dominating``, and ``exponential_parameters`` both from
+  one pass.  All of them read the one integer influence kernel,
+  ``weights.influence``.  No LP is solved: no size below the fractional
+  porous optimum holds a feasible set, so starting at 1 changes no value.
 
 Blocked weight never exceeds porous weight, so every exponential dominating
 set is porous dominating: it appears in the stream, and gamma_e_star <= gamma_e.
@@ -38,12 +39,10 @@ Disconnected inputs are solved per component and recombined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, product
 
 from .graph import CertificateError, Graph, connected_components, induced_subgraph
-from .lp import fractional_porous_number
 from .weights import (
     WeightProfile,
     is_dominating,
@@ -182,14 +181,14 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
     return value
 
 
-# -- exponential domination: LP-seeded subset search -------------------------
+# -- exponential domination: subset search -----------------------------------
 
 
 def _porous_leaves(g: Graph):
     """Every porous-feasible set of g, level by level: (k, an iterator over
-    the feasible k-sets in lexicographic order) for k from the ceiling of the
-    fractional porous optimum on.  Each set is searched for only when it is
-    read, so a reader that stops at a level's end starts no later level.
+    the feasible k-sets in lexicographic order) for k from 1 on.  Each set
+    is searched for only when it is read, so a reader that stops at a
+    level's end starts no later level.
     Connected or not, the graph is searched whole; callers decompose first
     for speed."""
     n = g.n
@@ -233,7 +232,7 @@ def _porous_leaves(g: Graph):
             if ((((w + prow[v]) >> n) & low) + low) & top == top:
                 yield (*chosen, v)
 
-    for k in range(max(1, math.ceil(fractional_porous_number(g))), n + 1):
+    for k in range(1, n + 1):
         if ((((k * psuf[0]) >> n) & low) + low) & top == top:
             yield k, level(0, k, 0, ())
 

@@ -1,10 +1,16 @@
-"""Independent brute-force oracles shared by the test modules.
+"""Brute-force oracles shared by the test modules.
 
-These deliberately avoid the solvers' internals (scaled integers, pruning,
-LP seeding): plain subset scans over the predicate functions, influence
-weights summed from their definition, random graph generators with fixed
-seeds, a Hypothesis strategy for arbitrary graphs, and two LP helpers only the tests use (the dual solved on its own,
-and a CPLEX LP export for external solvers).
+The subset oracles avoid the search's own machinery (packed weight
+vectors, pruning, the size-by-size stream): they scan every subset in
+lexicographic order and test it with the package's predicates,
+``weights.is_*_dominating``.  Those predicates read the same integer
+influence kernel as the search, ``weights.influence``, so the oracles judge
+the search but not the kernel.  The kernel has its own judge:
+``influence_oracle`` sums each weight as a ``Fraction`` from the
+definition, and ``test_weights`` compares the two.  The module also holds
+random graph generators with fixed seeds, a Hypothesis strategy for
+arbitrary graphs, and two LP helpers only the tests use (the dual solved on
+its own, and a CPLEX LP export for external solvers).
 """
 
 from __future__ import annotations

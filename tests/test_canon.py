@@ -3,6 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
 
 from expodom.canon import (
     automorphism_count,
@@ -20,6 +21,7 @@ from expodom.graph import (
     NotTreeError,
     cycle,
     delete_vertices,
+    is_tree,
     path,
     relabel,
     star,
@@ -29,7 +31,7 @@ from expodom.family import generate_family
 from expodom.fixtures import fixture_f1
 from expodom.graph6 import emit_graph6
 
-from _oracles import random_relabel, random_subcubic_tree
+from _oracles import graphs, random_relabel, random_subcubic_tree
 
 
 def test_code_invariant_under_relabeling():
@@ -54,6 +56,34 @@ def test_non_tree_rejected():
         rooted_code(Graph(3, [(0, 1)]), 0)
     with pytest.raises(NotTreeError):
         tree_centers(cycle(4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=7))
+@example(Graph(0))
+@example(Graph(1))
+@example(Graph(2))  # two centers, not adjacent
+@example(cycle(5))
+@example(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))  # a forest of two P3
+@example(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]))  # a triangle and an edge
+@example(path(7))
+@example(star(3))
+def test_walk_is_the_tree_check(g):
+    # the coding functions run no tree check of their own before the walk
+    calls = [
+        canonical_code,
+        canonical_order,
+        automorphism_count,
+        lambda h: tree_isomorphism_map(h, h),
+    ]
+    if g.n:
+        calls.append(lambda h: rooted_code(h, 0))
+    for call in calls:
+        if is_tree(g):
+            call(g)
+        else:
+            with pytest.raises(NotTreeError):
+                call(g)
 
 
 def test_canonical_graph_is_stable():

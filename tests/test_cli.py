@@ -266,6 +266,22 @@ def test_compute_lp_guard_skipped_or_forced(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["gamma_ef_star"] == {"num": "4", "den": "3"}
 
 
+def test_compute_out_of_memory_exits_65(tmp_path):
+    # --force lifts the LP guard; the exact LP of P1000 does not fit in
+    # 128 MB, and running out must be one stderr line, not a traceback
+    src = write_graph(tmp_path, path(1000))
+    limit = 1 << 27
+    done = run_python(
+        "-m", "expodom.cli", "compute", src, "--no-ilp", "--force", timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 65, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("expodom: out of memory")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_tau_cli(tmp_path, capsys):
     src = write_graph(tmp_path, path(3))
     code, out, _ = run_cli(capsys, "tau", src, "--vertex", "0")

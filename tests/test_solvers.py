@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -281,6 +282,30 @@ def test_porous_readers_stop_at_the_first_level(monkeypatch):
     # the blocked reader does read on, through the same instruments
     assert exponential_domination_number(g).value == 6
     assert checked and sizes == {4, 5, 6}
+
+
+def test_searches_solve_no_lp(monkeypatch, capsys):
+    # the simplex runs only where gamma_ef_star is reported: no search, no
+    # family step and no `compute --no-lp` may reach it
+    from expodom import cli, lp
+    from expodom.family import generate_family, recognize, tau
+
+    solved, solve = [], lp.solve_exact
+    monkeypatch.setattr(
+        lp, "solve_exact", lambda model: solved.append(model.size) or solve(model)
+    )
+    lp.fractional_porous_number.cache_clear()
+    g = fixture_f2()
+    exponential_parameters(g)
+    exponential_domination_number(g)
+    porous_exponential_domination_number(g)
+    all_minimum_porous_sets(g)
+    tau(g, 0)
+    recognize(fixture_f1(1))
+    generate_family(8)
+    assert cli.main(["compute", "--fixture", "f2", "--no-lp"]) == 0
+    assert json.loads(capsys.readouterr().out)["gamma_ef_star"] is None
+    assert solved == []
 
 
 # sha256 over (value, witness) of gamma_e and gamma_e_star and over
