@@ -90,7 +90,13 @@ def _walk(adj, roots: list[int]) -> tuple[list[int], list[bytes]]:
 
 def rooted_code(g: Graph, root: int) -> bytes:
     """AHU code of the tree rooted at ``root``; identifies (tree, root) up to
-    rooted isomorphism, so it doubles as a vertex-orbit key."""
+    rooted isomorphism, so it doubles as a vertex-orbit key.  Raises
+    ValueError for a root outside a non-empty graph; the empty graph, which
+    has no vertex to root, is no tree."""
+    if not g.n:
+        raise NotTreeError("not a tree: the graph is empty")
+    if not 0 <= root < g.n:
+        raise ValueError(f"vertex {root} out of range")
     return _walk(g.adj, [root])[1][root]
 
 

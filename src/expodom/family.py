@@ -16,6 +16,11 @@ the weights it reads, it is computed in integers scaled by 2**n and returned
 as a ``Fraction``.  Closing P_1 under the three operations generates exactly
 the subcubic trees with gamma == gamma_e; ``recognize`` decides membership
 by exhaustive reverse search and returns a replayable trace.
+
+Every verdict is memoized under a canonical code, so isomorphic copies share
+it: a guard at x walks ``rooted_code(g, x)`` once, and that key is also the
+tree check, since the canon walk raises NotTreeError on any other graph.
+One helper, ``_memo``, fills and reads all six tables.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from typing import Iterator
 
 from .canon import (
     canonical_code,
-    canonical_graph,
     rooted_code,
+    tree_from_code,
     tree_isomorphism_map,
 )
 from .graph import (
@@ -39,7 +44,6 @@ from .graph import (
     add_pendant_path,
     bfs_distances_excluding,
     delete_vertices,
-    is_tree,
 )
 from .solvers import (
     domination_number,
@@ -80,35 +84,23 @@ _TAU: dict[bytes, Fraction] = {}
 _RECOGNIZE: dict[bytes, "tuple[OpTrace, Graph] | None"] = {}
 
 
+def _memo(table: dict, key: bytes, compute):
+    """``table[key]``, filled by ``compute()`` on the first read."""
+    if key not in table:
+        table[key] = compute()
+    return table[key]
+
+
 def _gamma_value(g: Graph) -> int:
-    key = canonical_code(g)
-    if key not in _GAMMA:
-        _GAMMA[key] = domination_number(g).value
-    return _GAMMA[key]
+    return _memo(_GAMMA, canonical_code(g), lambda: domination_number(g).value)
 
 
 def _gamma_e_value(g: Graph) -> int:
-    if not is_tree(g):
+    try:
+        key = canonical_code(g)
+    except NotTreeError:  # tau reads any graph; only trees are memoized
         return exponential_domination_number(g).value
-    key = canonical_code(g)
-    if key not in _GAMMA_E:
-        _GAMMA_E[key] = exponential_domination_number(g).value
-    return _GAMMA_E[key]
-
-
-def _forced_value(g: Graph, x: int) -> int:
-    key = rooted_code(g, x)
-    if key not in _FORCED:
-        _FORCED[key] = domination_with_forced_vertex(g, x)
-    return _FORCED[key]
-
-
-def _restricted_value(g: Graph, x: int) -> int:
-    key = rooted_code(g, x)
-    if key not in _RESTRICTED:
-        targets = [v for v in range(g.n) if v != x]
-        _RESTRICTED[key] = restricted_domination_number(g, targets).value
-    return _RESTRICTED[key]
+    return _memo(_GAMMA_E, key, lambda: exponential_domination_number(g).value)
 
 
 def _tau_of_set(g: Graph, x: int, dset: set) -> int | None:
@@ -148,44 +140,43 @@ def tau(g: Graph, x: int) -> TauResult:
     return TauResult(Fraction(best, 1 << g.n), best_set)
 
 
-def _tau_value(g: Graph, x: int) -> Fraction:
-    key = rooted_code(g, x)
-    if key not in _TAU:
-        _TAU[key] = tau(g, x).value
-    return _TAU[key]
-
-
-def _require_subcubic_tree(g: Graph) -> None:
-    if not is_tree(g):
-        raise NotTreeError("growth operations are defined on trees")
+def _subcubic(g: Graph, key: bytes) -> bytes:
+    """``key``, a canonical or rooted code of g, once g is known subcubic:
+    computing the key already checked that g is a tree."""
     if g.max_degree() > 3:
         raise NotSubcubicError("growth operations keep trees subcubic")
+    return key
 
 
 def op1_applicable(g: Graph, x: int) -> bool:
     """Leaf attachment at x: x must lie in some minimum dominating set."""
-    _require_subcubic_tree(g)
+    key = _subcubic(g, rooted_code(g, x))
     if g.degree(x) >= 3:
         return False
-    return _forced_value(g, x) == _gamma_value(g)
+    forced = _memo(_FORCED, key, lambda: domination_with_forced_vertex(g, x))
+    return forced == _gamma_value(g)
 
 
 def op2_applicable(g: Graph, x: int) -> bool:
     """Two-vertex path at x: tau(x) > 1, or excusing x from domination helps."""
-    _require_subcubic_tree(g)
+    key = _subcubic(g, rooted_code(g, x))
     if g.degree(x) >= 3:
         return False
-    if _tau_value(g, x) > 1:
+    if _memo(_TAU, key, lambda: tau(g, x).value) > 1:
         return True
-    return _restricted_value(g, x) < _gamma_value(g)
+    targets = [v for v in range(g.n) if v != x]
+    restricted = _memo(
+        _RESTRICTED, key, lambda: restricted_domination_number(g, targets).value
+    )
+    return restricted < _gamma_value(g)
 
 
 def op3_applicable(g: Graph, w: int) -> bool:
     """Three-vertex path at w: tau(w) > 1/2."""
-    _require_subcubic_tree(g)
+    key = _subcubic(g, rooted_code(g, w))
     if g.degree(w) >= 3:
         return False
-    return _tau_value(g, w) > Fraction(1, 2)
+    return _memo(_TAU, key, lambda: tau(g, w).value) > Fraction(1, 2)
 
 
 _APPLICABLE = {1: op1_applicable, 2: op2_applicable, 3: op3_applicable}
@@ -272,40 +263,34 @@ def _reverse_candidates(g: Graph):
             yield 3, (x, y, z), w
 
 
-def _recognize_impl(g: Graph):
-    code = canonical_code(g)
-    if code in _RECOGNIZE:
-        return _RECOGNIZE[code]
-    result = None
+def _peel(g: Graph):
+    """(trace, replayed tree) for the first peel-back that leaves a member,
+    or None when no peel-back does."""
     if g.n == 1:
-        result = (OpTrace(()), Graph(1))
-    else:
-        for op, removed, attach_old in _reverse_candidates(g):
-            smaller, old_to_new = delete_vertices(g, removed)
-            attach = old_to_new[attach_old]
-            if not _APPLICABLE[op](smaller, attach):
-                continue
-            sub = _recognize_impl(smaller)
-            if sub is None:
-                continue
-            sub_trace, sub_replay = sub
-            iso = tree_isomorphism_map(smaller, sub_replay)
-            step = OpStep(
-                op,
-                iso[attach],
-                tuple(range(sub_replay.n, sub_replay.n + op)),
-            )
-            trace = OpTrace(sub_trace.steps + (step,))
-            result = (trace, add_pendant_path(sub_replay, iso[attach], op))
-            break
-    _RECOGNIZE[code] = result
-    return result
+        return OpTrace(()), Graph(1)
+    for op, removed, attach_old in _reverse_candidates(g):
+        smaller, old_to_new = delete_vertices(g, removed)
+        attach = old_to_new[attach_old]
+        if not _APPLICABLE[op](smaller, attach):
+            continue
+        sub = _memo(_RECOGNIZE, canonical_code(smaller), lambda: _peel(smaller))
+        if sub is None:
+            continue
+        sub_trace, sub_replay = sub
+        iso = tree_isomorphism_map(smaller, sub_replay)
+        step = OpStep(
+            op,
+            iso[attach],
+            tuple(range(sub_replay.n, sub_replay.n + op)),
+        )
+        trace = OpTrace(sub_trace.steps + (step,))
+        return trace, add_pendant_path(sub_replay, iso[attach], op)
+    return None
 
 
 def recognize(g: Graph) -> OpTrace | None:
     """A construction trace when the tree belongs to the family, else None."""
-    _require_subcubic_tree(g)
-    found = _recognize_impl(g)
+    found = _memo(_RECOGNIZE, _subcubic(g, canonical_code(g)), lambda: _peel(g))
     return found[0] if found else None
 
 
@@ -344,7 +329,7 @@ def generate_family(n_max: int) -> Iterator[Graph]:
                 grown = add_pendant_path(g, x, op)
                 code = canonical_code(grown)
                 if code not in members:
-                    members[code] = canonical_graph(grown)
+                    members[code] = tree_from_code(code)
                     queue.append(members[code])
     for _, t in sorted(members.items(), key=lambda item: (item[1].n, item[0])):
         yield t

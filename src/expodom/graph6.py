@@ -1,10 +1,20 @@
-"""graph6 codec for simple undirected graphs (orders up to MAX_ORDER)."""
+"""graph6 codec for simple undirected graphs (orders up to MAX_ORDER).
+
+After the order prefix, bit ``col*(col-1)//2 + row`` stands for the pair
+(row, col) with row < col: the upper triangle read column by column.  The
+bits are packed six to a character, first bit highest, plus 63.  Both
+directions touch only the set bits, one per edge, never the whole triangle.
+"""
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .graph import MAX_ORDER, Graph, ParseError
 
 _HEADER = ">>graph6<<"
+# six-bit values 0..63 to the characters "?".."~"
+_TO_TEXT = bytes(range(63, 127)).ljust(256, b"\0")
 
 
 def emit_graph6(g: Graph) -> str:
@@ -18,21 +28,15 @@ def emit_graph6(g: Graph) -> str:
         prefix = "~" + "".join(
             chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
         )
-    bits = []
-    adj = g.adj
-    for col in range(1, n):
-        row_set = set(adj[col])
-        for row in range(col):
-            bits.append(1 if row in row_set else 0)
-    chars = []
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        value = 0
-        for b in chunk:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
-    return prefix + "".join(chars)
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for col, row_list in enumerate(g.adj):
+        base = col * (col - 1) // 2
+        for row in row_list:  # sorted, so the rows below col come first
+            if row >= col:
+                break
+            i = base + row
+            body[i // 6] |= 32 >> (i % 6)
+    return prefix + body.translate(_TO_TEXT).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -63,17 +67,15 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 bit field for n={n} needs {nchars} characters, got {len(body)}"
         )
-    bits = []
-    for ch in body:
-        value = ord(ch) - 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
-        raise ParseError("nonzero padding bits in graph6 string")
     edges = []
-    i = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bits[i]:
-                edges.append((row, col))
-            i += 1
+    for j, ch in enumerate(body):
+        value = ord(ch) - 63
+        while value:
+            high = value.bit_length() - 1
+            value ^= 1 << high
+            i = 6 * j + 5 - high
+            if i >= nbits:
+                raise ParseError("nonzero padding bits in graph6 string")
+            col = (isqrt(8 * i + 1) + 1) // 2  # the largest col with col*(col-1)/2 <= i
+            edges.append((i - col * (col - 1) // 2, col))
     return Graph(n, edges)

@@ -6,6 +6,10 @@ claim per instance, and reports violations as machine-readable records that
 can be re-checked from their graph6 strings alone.  ``SUITES`` and ``SCANS``
 give each suite and scan a default order bound and a runner, and one function
 times and reports them all; a non-empty scan result is a finding, not a failure.
+
+A sweep item is ``(check, g6, g)``: it carries the graph its graph6 string
+names, so no sweep parses the graph6 it has just written, and a worker
+process unpickles the ``Graph`` instead.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .graph import (
     diameter,
     star,
 )
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6
 from .lp import (
     bound_diameter,
     bound_order_degree,
@@ -312,12 +316,12 @@ def _check_conjecture2(g6: str, g: Graph) -> list[tuple]:
 
 
 def _mp_item(args):
-    check, g6 = args
-    return check(g6, parse_graph6(g6))
+    check, g6, g = args
+    return check(g6, g)
 
 
 def _run_per_graph(check: Callable, corpus: list[Graph], jobs: int) -> list[list[tuple]]:
-    items = [(check, emit_graph6(g)) for g in corpus]
+    items = [(check, emit_graph6(g), g) for g in corpus]
     if jobs > 1 and len(items) > 1:
         # imported here: at module level it adds about 10 ms to every start
         from multiprocessing import get_context

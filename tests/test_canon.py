@@ -158,6 +158,17 @@ def test_rooted_code_orbits():
     assert rooted_code(p, 0) != rooted_code(p, 1)
 
 
+@pytest.mark.parametrize("root", [-1, 3, 5])
+def test_rooted_code_rejects_roots_out_of_range(root):
+    with pytest.raises(ValueError, match=f"vertex {root} out of range"):
+        rooted_code(path(3), root)
+
+
+def test_rooted_code_of_the_empty_graph_is_no_tree():
+    with pytest.raises(NotTreeError):
+        rooted_code(Graph(0), 0)
+
+
 def brute_aut(g: Graph) -> int:
     edges = {frozenset(e) for e in g.edges()}
     count = 0

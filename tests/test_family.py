@@ -1,8 +1,10 @@
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
 
 from expodom.canon import canonical_code, tree_isomorphism_map
 from expodom.enumeration import trees_up_to
@@ -20,14 +22,23 @@ from expodom.family import (
     tau,
 )
 from expodom.fixtures import fixture_f1
-from expodom.graph import NotTreeError, connected_components, cycle, path, star
+from expodom.graph import (
+    Graph,
+    NotSubcubicError,
+    NotTreeError,
+    connected_components,
+    cycle,
+    is_tree,
+    path,
+    star,
+)
 from expodom.solvers import (
     domination_number,
     exponential_domination_number,
 )
 from expodom.weights import weight_profile
 
-from _oracles import random_relabel, random_subcubic_graph
+from _oracles import graphs, random_relabel, random_subcubic_graph
 
 
 def test_tau_single_vertex():
@@ -246,3 +257,47 @@ def test_recognize_requires_subcubic_tree():
         recognize(cycle(4))
     with pytest.raises(NotSubcubicError):
         recognize(star(4))
+
+
+GUARDS = (op1_applicable, op2_applicable, op3_applicable)
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+@pytest.mark.parametrize("x", [-1, 3, 5])
+def test_guards_reject_vertices_out_of_range(guard, x):
+    with pytest.raises(ValueError, match=f"vertex {x} out of range"):
+        guard(path(3), x)
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_guards_on_the_empty_graph_need_a_tree(guard):
+    with pytest.raises(NotTreeError):
+        guard(Graph(0), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=7))
+@example(Graph(0))
+@example(Graph(2))
+@example(cycle(4))
+@example(Graph(5, [(0, 1), (1, 2), (3, 4)]))
+@example(star(3))
+@example(star(4))
+@example(Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6)]))
+@example(path(7))
+def test_guards_and_recognize_check_subcubic_trees(g):
+    # the memo key's canon walk is the only tree check the guards make
+    if not is_tree(g):
+        want = NotTreeError
+    elif g.max_degree() > 3:
+        want = NotSubcubicError
+    else:
+        want = None
+    calls = [partial(recognize, g)]
+    calls += [partial(guard, g, x) for guard in GUARDS for x in range(g.n)]
+    for call in calls:
+        if want is None:
+            call()
+        else:
+            with pytest.raises(want):
+                call()

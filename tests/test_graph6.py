@@ -8,7 +8,7 @@ from expodom.graph import MAX_ORDER, Graph, ParseError, path, star
 from expodom.graph6 import emit_graph6, parse_graph6
 from expodom.enumeration import trees_up_to
 
-from _oracles import graphs, random_subcubic_graph
+from _oracles import graphs, random_subcubic_graph, random_subcubic_tree
 
 
 def test_emit_p2():
@@ -84,3 +84,17 @@ def test_emit_refuses_orders_beyond_the_prefix():
     # bit is built, so a stand-in that has only an order is enough
     with pytest.raises(ValueError, match=str(MAX_ORDER)):
         emit_graph6(SimpleNamespace(n=MAX_ORDER + 1))
+
+
+@pytest.mark.parametrize("text", ["A@", "A`"])
+def test_nonzero_padding_rejected(text):
+    # n=2 has one bit; "@" sets only a padding bit, "`" the edge and one
+    with pytest.raises(ParseError, match="nonzero padding bits"):
+        parse_graph6(text)
+
+
+def test_round_trip_long_prefix_trees():
+    for g in (path(3000), random_subcubic_tree(random.Random(500), 500)):
+        text = emit_graph6(g)
+        assert text[0] == "~"
+        assert parse_graph6(text) == g

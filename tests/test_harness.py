@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from expodom import graph6, harness
 from expodom.graph6 import parse_graph6
 from expodom.harness import (
     Report,
@@ -131,3 +132,16 @@ def test_enumcount_reports_an_otter_mismatch(monkeypatch):
     report = run_suite("enumcount", 10)
     assert [v.expected for v in report.violations] == ["Otter class count 37"]
     assert report.violations[0].observed == "36"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweeps_parse_no_graph6(monkeypatch, jobs):
+    # each sweep item carries its tree; a forked worker inherits the stub
+    def refuse(text):
+        raise AssertionError(f"parsed {text!r}")
+
+    monkeypatch.setattr(graph6, "parse_graph6", refuse)
+    monkeypatch.setattr(harness, "parse_graph6", refuse, raising=False)
+    report = run_suite("theorem2", 8, jobs=jobs)
+    assert report.passed
+    assert report.checked == 28
