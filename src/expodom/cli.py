@@ -14,8 +14,9 @@ given, because the exact simplex grows as about n**5.5, and refuses graphs
 above ``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables
 would not fit in memory; every limit is checked before any work starts.
 ``enumerate --n`` and the ``--nmax`` of ``verify`` and ``conjecture`` above
-``enumeration.MAX_ORDER`` (22) exit 64 before any tree is grown: enumerating
-beyond it would take hours and run out of memory.  ``family --nmax`` above
+``enumeration.MAX_ORDER`` (22) exit 64 before any tree is composed: the
+trees themselves take about a second there, but a sweep of the per-tree
+checks over orders above it would run for hours.  ``family --nmax`` above
 ``family.MAX_ORDER`` (18) and ``f1:<k>`` fixtures above ``graph.MAX_ORDER``
 vertices exit 64 before anything is built.
 ``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run

@@ -1,18 +1,40 @@
 """Exhaustive enumeration of non-isomorphic subcubic trees.
 
-Each order is kept as the sorted tuple of its canonical codes, and order n
-is grown from order n-1: read each parent's adjacency from its code, hang
-one new leaf at every vertex of degree at most 2, and code the candidate,
-a bare adjacency list, with the canon walk; no ``Graph`` is built per
-candidate.  Representatives, the BFS-numbered trees of ``tree_from_code``,
-are built only for the order asked for, one at a time as the stream reaches
-them.  This misses no class.  Removing any leaf from a subcubic tree of
-order n >= 2 leaves a subcubic tree of order n-1 in which the leaf's
-neighbour had degree at most 2; that smaller tree is isomorphic to an
-enumerated representative, and hanging the leaf back at the neighbour's
-image rebuilds the tree.  Orders above ``MAX_ORDER`` are refused before any
-tree is grown.  The counts are still checked by independent oracles rather
-than by trusting the generator:
+Each order is kept as the sorted tuple of its canonical codes, the
+center-rooted AHU codes of ``canon``, and order n is spelled directly,
+without reading order n-1 and without the canon walk.  A branch is a rooted
+tree in which every vertex has at most two children: what hangs from a
+vertex of a subcubic tree away from a neighbour.  One call builds the codes
+of the branches of each size s and height h, a root over a multiset of one
+or two smaller branches, and composes the trees from them by Jordan's
+center (Otter 1948):
+
+* one center: the center over a multiset of two or three branches whose two
+  tallest are of equal height; the code is the center's, ``(`` + the
+  branch codes in sorted order + ``)``;
+* two centers: an unordered pair of sides, each center with the branch
+  hanging from it away from the other, of equal height.  A code starts with
+  height + 1 copies of ``(``, so a taller branch has the smaller code, and
+  either side is smaller than every child of the other.  No code is a
+  prefix of another, so with A the smaller side code and B the larger, the
+  full code rooted at B's center is the smaller of the two that
+  ``canon._center_walk`` weighs: ``(`` + A + B's children + ``)``, which is
+  ``(`` + A + B without its first ``(``.
+
+This misses no class and repeats none: a tree has one center or two
+adjacent ones, its branches there are determined up to isomorphism, and the
+heights of those branches say which case holds.  So each class is one
+multiset of branch classes, and each multiset is drawn once.  Only branches
+with s + h <= n - 1 are built, since nothing larger occurs in a tree of order
+n: a center branch of height h has a branch beside it at least as tall, of at
+least h + 1 vertices, and the center too, so s + h <= n - 2; a side of height
+h has the other side, also of height h, so s + h <= n - 1; and every branch
+deeper in the tree lies inside one of these, smaller in both size and
+height.  Representatives, the BFS-numbered trees of ``tree_from_code``, are
+built only for the order asked for, one at a time as the stream reaches
+them.  Orders above ``MAX_ORDER`` are refused before any tree is composed.
+The counts are still checked by independent oracles rather than by trusting
+the generator:
 
 * a literal oracle that decodes every degree-bounded Prufer sequence and
   deduplicates the resulting labeled trees by canonical code,
@@ -26,42 +48,67 @@ than by trusting the generator:
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import chain, combinations_with_replacement, product
 from typing import Iterator
 
-from .canon import (
-    _code_adjacency,
-    _tree_code,
-    labeled_copies,
-    tree_from_code,
-)
+from .canon import _tree_code, labeled_copies, tree_from_code
 from .graph import Graph
 
-# the largest tree order enumerated: 254,371 classes, about 80 s and 85 MB
-# for `enumerate --n 22`; larger orders would run for hours and end out of
-# memory
+# the largest tree order enumerated: 254,371 classes, composed in about
+# 0.7 s at 43 MB peak RSS (`count_subcubic_trees(22)`, Python 3.11, shared
+# 2-core x86 host); `enumerate --n 22` takes 13 s there, nearly all of it
+# building and printing the graph6 lines; the limit bounds the corpus of
+# every suite and scan, whose per-tree checks would run for hours above it
 MAX_ORDER = 22
 
-# the sorted canonical codes of each order grown so far; a concurrent fill
+# the sorted canonical codes of each order composed so far; a concurrent fill
 # stores an equal value, so races are benign
 _CODES: dict[int, tuple[bytes, ...]] = {1: (b"()",)}
 
 
-def _grow(codes: tuple[bytes, ...]) -> tuple[bytes, ...]:
-    """The sorted codes of every tree made by hanging one leaf at a vertex of
-    degree at most 2 of a tree in ``codes``.  Each candidate is a bare
-    adjacency list, a tree by construction, coded by the canon walk."""
-    seen: set[bytes] = set()
-    for code in codes:
-        adj = _code_adjacency(code)
-        leaf = len(adj)
-        for x, nbrs in enumerate(adj):
-            if len(nbrs) > 2:
-                continue
-            grown = adj.copy()
-            grown[x] = nbrs + (leaf,)
-            grown.append((x,))
-            seen.add(_tree_code(grown))
-    return tuple(sorted(seen))
+def _picks(table: dict, keys: tuple) -> Iterator[list[bytes]]:
+    """Each multiset of codes taking one code from ``table[k]`` for every
+    ``k`` in ``keys``, once, as a sorted list; equal keys draw a combination
+    with replacement, so no multiset comes out twice."""
+    runs = [combinations_with_replacement(table[k], m) for k, m in Counter(keys).items()]
+    for pick in product(*runs):
+        yield sorted(chain.from_iterable(pick))
+
+
+def _compose(n: int) -> tuple[bytes, ...]:
+    """The sorted canonical codes of the subcubic trees of order n >= 2,
+    spelled around their centers; no tree is built or walked."""
+    limit = n - 1  # no branch of a tree of order n has size + height above it
+    # the codes of the rooted branches, every vertex with at most two
+    # children, by (size, height)
+    table: dict[tuple[int, int], list[bytes]] = {(1, 0): [b"()"]}
+    for size in range(2, limit):
+        keys = list(table)
+        for m in (1, 2):
+            for pick in combinations_with_replacement(keys, m):
+                height = 1 + max(h for _, h in pick)
+                if sum(s for s, _ in pick) == size - 1 and size + height <= limit:
+                    table.setdefault((size, height), []).extend(
+                        b"(" + b"".join(kids) + b")" for kids in _picks(table, pick)
+                    )
+    keys = list(table)
+    trees: list[bytes] = []
+    # one center: two or three branches, the two tallest of equal height
+    for m in (2, 3):
+        for pick in combinations_with_replacement(keys, m):
+            heights = sorted(h for _, h in pick)
+            if sum(s for s, _ in pick) == n - 1 and heights[-1] == heights[-2]:
+                trees.extend(
+                    b"(" + b"".join(kids) + b")" for kids in _picks(table, pick)
+                )
+    # two centers: two sides of equal height, coded from the center of the
+    # larger side b, with the smaller side a as its first child
+    for pick in combinations_with_replacement(keys, 2):
+        (s, h), (t, k) = pick
+        if s + t == n and h == k:
+            trees.extend(b"(" + a + b[1:] for a, b in _picks(table, pick))
+    return tuple(sorted(trees))
 
 
 def _check_order(n: int) -> None:
@@ -70,12 +117,10 @@ def _check_order(n: int) -> None:
 
 
 def _subcubic_trees_cached(n: int) -> tuple[bytes, ...]:
-    """The sorted canonical codes of the classes of order n, growing each
-    missing order from the one below."""
+    """The sorted canonical codes of the classes of order n, composed once."""
     _check_order(n)
-    for order in range(2, n + 1):
-        if order not in _CODES:
-            _CODES[order] = _grow(_CODES[order - 1])
+    if n >= 2 and n not in _CODES:
+        _CODES[n] = _compose(n)
     return _CODES.get(n, ())
 
 

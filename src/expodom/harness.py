@@ -432,7 +432,7 @@ SUITES: dict[str, SuiteSpec] = {
     "lemma1": SuiteSpec(8, _run_lemma1),
     "lemma2": SuiteSpec(10, _run_lemma2),
     "theorem1equiv": SuiteSpec(9, _sweep(_check_theorem1equiv)),
-    "enumcount": SuiteSpec(10, _run_enumcount),
+    "enumcount": SuiteSpec(16, _run_enumcount),
 }
 
 SCANS: dict[int, SuiteSpec] = {

@@ -186,6 +186,7 @@ PINNED_ENUMERATE_DIGESTS = {
     14: "54ceb3cf35f45fa8f8fd61010bd075241981ca1243c309d611398d834ebaeb4e",
     15: "a8273822378b8384a8359cbde2cfdf1881003173cd8a5e33b42b869c24a55491",
     16: "92196e02f81e4173903955444fbb2eec09eb932b5215c952401bcd4f219438b8",
+    18: "c6a58f21869676f6e7c82909d3dc379971e10bd2e46ef24af5d0f1454a98eaed",
 }
 
 

@@ -1,7 +1,8 @@
 import pytest
 
-from expodom.canon import canonical_code
+from expodom.canon import _code_adjacency, _tree_code, canonical_code
 from expodom.enumeration import (
+    _subcubic_trees_cached,
     count_subcubic_trees,
     enumerate_subcubic_trees,
     labeled_count_from_classes,
@@ -54,6 +55,17 @@ def test_otter_count_matches_oeis():
 def test_counts_match_otter():
     for n in range(1, 17):
         assert count_subcubic_trees(n) == otter_class_count(n)
+
+
+def test_codes_are_canonical_distinct_and_complete():
+    # canonical, strictly increasing and as many as Otter counts: together
+    # they pin the exact set of classes, not only its size
+    for n in range(1, 17):
+        codes = _subcubic_trees_cached(n)
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        for c in codes:
+            assert _tree_code(_code_adjacency(c)) == c
+        assert len(codes) == otter_class_count(n)
 
 
 def test_enumerated_are_canonical_subcubic_trees():
