@@ -20,17 +20,24 @@ Blocked weight never exceeds porous weight, so every exponential dominating
 set is porous dominating: it appears in the stream, and gamma_e_star <= gamma_e.
 
 The subset search packs each weight vector into one int, a field of
-``width = n + (2n).bit_length() + 1`` bits per vertex, so a search node
-costs one big-int add.  A field holds at most k dominators' weight, each at
-most 2 * 2**n, so it stays at or below n * 2**(n+1) < 2**(width-1) and no
-sum carries into the next field.  A node is pruned when some vertex cannot
-reach weight 1 even if every remaining pick gave it the most any later
-vertex can (``w + slots * suffix_max`` below 2**n in some field); since
-the suffix maxima are non-negative this is the same per-vertex inequality
-as testing the vertex's own weight first, so the search visits the same
-nodes in the same order.  The prune and the leaf test share one carry test
-for "every field is at least 2**n", written out inline in both loops; a
-parent tests each child's prune before it recurses into the child.
+``width = n + (2n).bit_length() + 1`` bits per vertex.  A field holds at
+most k dominators' weight, each at most 2 * 2**n, so it stays at or below
+n * 2**(n+1) < 2**(width-1) and no sum carries into the next field.  A
+node is pruned when some vertex cannot reach weight 1 even if every
+remaining pick gave it the most any later vertex can (``w + slots *
+suffix_max`` below 2**n in some field); since the suffix maxima are
+non-negative this is the same per-vertex inequality as testing the
+vertex's own weight first, so the search yields the same sets in the same
+order.  "Every field is at least 2**n" is one mask test: a bias of
+2**(width-1) - 2**n per field, itself below 2**(width-1), sets a field's
+top bit exactly when its weight is at least 2**n, and still carries into
+no other field.  Two tables per slot count s, built as each level opens,
+fold the bias in: ``reach[s][v]`` (child v's row plus s - 1 suffix
+maxima after it), so a child costs one add, one and and one compare, and
+``most[s][v]`` (s suffix maxima after v).  Every later child's ``reach``
+is at most ``most[s][v]`` field by field, so when child v fails and
+``w + most[s][v]`` fails too, the loop ends there: the exit skips only
+children that would fail their own prune.
 
 Witnesses are therefore always the lexicographically smallest optimum set,
 and every witness is re-checked on its own before it is returned.
@@ -210,30 +217,45 @@ def _porous_leaves(g: Graph):
     for v in range(n - 1, -1, -1):
         suffix_max = [max(a, b) for a, b in zip(suffix_max, rows[v])]
         psuf[v] = pack(suffix_max)
-    # Field-wise "weight >= 2**n", the carry test written out in both loops
-    # below: shifted down by n, a field keeps its quotient
-    # (< 2**(width - n - 1)) under ``low``, and adding ``low`` carries into
-    # the field's ``top`` bit exactly when that quotient is at least 1.
-    low = pack([(1 << (width - n - 1)) - 1] * n)
-    top = pack([1 << (width - n - 1)] * n)
+    # Field-wise "weight >= 2**n" as one mask test: ``bias`` adds
+    # 2**(width - 1) - 2**n to every field, so a biased field has its ``top``
+    # bit set exactly when its weight is at least 2**n.  Weight and bias are
+    # each below 2**(width - 1), so a biased field still carries into no other.
+    top = pack([1 << (width - 1)] * n)
+    bias = top - pack([1 << n] * n)
+    # Per slot count s, built as the stream opens level s and kept for the
+    # deeper levels: reach[s][v] is what child v of a node with s slots adds
+    # to its weight, its own row plus the most the s - 1 later picks could
+    # add, so child v passes its prune when (w + reach[s][v]) & top == top
+    # (reach[1][v] is the leaf test).  most[s][v] = s * psuf[v + 1] bounds
+    # reach[s][v'] for every v' > v field by field (prow[v'] and psuf[v' + 1]
+    # are both at most psuf[v + 1]), so once child v has failed and
+    # w + most[s][v] misses too, no later child can pass and the loop ends.
+    reach = [None]
+    most = [None]
 
     def level(start: int, slots: int, w: int, chosen):
         """The feasible sets that extend ``chosen`` by ``slots`` vertices
         from ``start`` on, below a node that passed the prune."""
+        fits, bound = reach[slots], most[slots]
         if slots > 1:
             rest = slots - 1
             for v in range(start, n - rest):
-                x = w + prow[v]
-                # the child's prune, tested here to spare the call
-                if ((((x + rest * psuf[v + 1]) >> n) & low) + low) & top == top:
-                    yield from level(v + 1, rest, x, (*chosen, v))
+                if (w + fits[v]) & top == top:
+                    yield from level(v + 1, rest, w + prow[v], (*chosen, v))
+                elif (w + bound[v]) & top != top:
+                    return
             return
         for v in range(start, n):
-            if ((((w + prow[v]) >> n) & low) + low) & top == top:
+            if (w + fits[v]) & top == top:
                 yield (*chosen, v)
+            elif (w + bound[v]) & top != top:
+                return
 
     for k in range(1, n + 1):
-        if ((((k * psuf[0]) >> n) & low) + low) & top == top:
+        reach.append([prow[v] + (k - 1) * psuf[v + 1] + bias for v in range(n)])
+        most.append([k * psuf[v + 1] + bias for v in range(n)])
+        if (k * psuf[0] + bias) & top == top:
             yield k, level(0, k, 0, ())
 
 

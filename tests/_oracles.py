@@ -7,7 +7,9 @@ lexicographic order and test it with the package's predicates,
 influence kernel as the search, ``weights.influence``, so the oracles judge
 the search but not the kernel.  The kernel has its own judge:
 ``influence_oracle`` sums each weight as a ``Fraction`` from the
-definition, and ``test_weights`` compares the two.  The module also holds
+definition, and ``test_weights`` compares the two.  Past brute-force
+orders, ``milp_gamma_e_star`` judges gamma_e_star with an integer program
+solved in floating point and re-checked exactly.  The module also holds
 random graph generators with fixed seeds, a Hypothesis strategy for
 arbitrary graphs, and two LP helpers only the tests use (the dual solved on
 its own, and a CPLEX LP export for external solvers).
@@ -30,6 +32,7 @@ from expodom.weights import (
     is_dominating,
     is_exponential_dominating,
     is_porous_exponential_dominating,
+    porous_rows,
 )
 
 
@@ -59,6 +62,28 @@ def brute_gamma_e(g: Graph) -> int:
 
 def brute_gamma_e_star(g: Graph) -> int:
     return brute_minimum(g, is_porous_exponential_dominating)[0]
+
+
+def milp_gamma_e_star(g: Graph) -> int:
+    """gamma_e_star as a 0/1 program solved by HiGHS through
+    ``scipy.optimize.milp``: the fewest x with ``porous_rows(g) x >= 2**n``.
+    The 0/1 vector it returns is re-checked as a porous set with the exact
+    kernel, so only its optimality rests on floating point.  Needs scipy;
+    callers skip with ``pytest.importorskip`` first."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = g.n
+    rows = porous_rows(g)
+    got = milp(
+        c=[1] * n,
+        constraints=LinearConstraint(rows, lb=[1 << n] * n),
+        integrality=[1] * n,
+        bounds=Bounds(0, 1),
+    )
+    assert got.success, got.message
+    chosen = tuple(v for v in range(n) if round(got.x[v]))
+    assert is_porous_exponential_dominating(g, chosen)
+    return len(chosen)
 
 
 def random_subcubic_graph(rng: random.Random, n_max: int = 10) -> Graph:

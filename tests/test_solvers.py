@@ -3,7 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,9 +45,11 @@ from _oracles import (
     brute_all_minimum,
     brute_minimum,
     graphs,
+    milp_gamma_e_star,
     random_relabel,
     random_subcubic_graph,
     random_subcubic_graph_of_order,
+    random_subcubic_tree,
 )
 
 
@@ -242,6 +244,10 @@ def test_tampered_fused_witness_raises(monkeypatch, tampered):
 @given(graphs(max_n=7))
 @example(Graph(0))
 @example(Graph(5, [(0, 1), (2, 3)]))
+@example(Graph(6, [(u, v) for u in range(3) for v in range(3, 6)]))  # K_{3,3}
+@example(Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+               + [(i, i + 5) for i in range(5)]
+               + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]))  # Petersen
 def test_porous_stream_is_every_feasible_set_in_order(g):
     streamed = [(k, leaf) for k, sets in solvers._porous_leaves(g) for leaf in sets]
     start = max(1, math.ceil(fractional_porous_number(g))) if g.n else 0
@@ -252,6 +258,51 @@ def test_porous_stream_is_every_feasible_set_in_order(g):
         if is_porous_exponential_dominating(g, cand)
     ]
     assert streamed == want
+
+
+def _stream_cases():
+    """Trees, the same trees with two leaf-to-leaf chords, and a forest, of
+    orders 12 to 14: long enough loops for a level to end early."""
+    rng = random.Random(1412)
+    cases = []
+    for n in (12, 13, 14):
+        t = random_subcubic_tree(rng, n)
+        leaves = [v for v in range(n) if t.degree(v) == 1]
+        chords = [(leaves[0], leaves[1]), (leaves[2], leaves[3])]
+        cases.append(pytest.param(t, id=f"tree{n}"))
+        cases.append(pytest.param(Graph(n, t.edges() + chords), id=f"cyclic{n}"))
+    a, b = random_subcubic_tree(rng, 6), random_subcubic_tree(rng, 7)
+    forest = Graph(13, a.edges() + [(u + 6, v + 6) for u, v in b.edges()])
+    return cases + [pytest.param(forest, id="forest13")]
+
+
+@pytest.mark.parametrize("g", _stream_cases())
+def test_porous_stream_matches_combinations_at_orders_12_to_14(g):
+    # brute force up to one level past the first feasible one
+    want, first, last = [], None, 0
+    while first is None or last <= first:
+        last += 1
+        found = [c for c in combinations(range(g.n), last)
+                 if is_porous_exponential_dominating(g, c)]
+        if found and first is None:
+            first = last
+        want += [(last, c) for c in found]
+    levels = takewhile(lambda level: level[0] <= last, solvers._porous_leaves(g))
+    assert [(k, leaf) for k, sets in levels for leaf in sets] == want
+
+
+def test_gamma_e_star_matches_milp():
+    # orders past brute force, judged by an integer program
+    pytest.importorskip("scipy.optimize")
+    rng = random.Random(26)
+    cyclic = disconnected = 0
+    for _ in range(12):
+        g = random_subcubic_graph_of_order(rng, rng.randint(16, 26))
+        parts = len(connected_components(g))
+        cyclic += len(g.edges()) > g.n - parts
+        disconnected += parts > 1
+        assert porous_exponential_domination_number(g).value == milp_gamma_e_star(g)
+    assert (cyclic, disconnected) == (5, 4)
 
 
 def test_porous_readers_stop_at_the_first_level(monkeypatch):
