@@ -3,8 +3,8 @@
 Subcommands: compute, enumerate, tau, family, verify, conjecture, fixture.
 All results are JSON on stdout (rationals as {"num", "den"} decimal strings)
 so identical invocations produce byte-identical output.  Exit codes: 0
-success, 2 suite violations, 64 usage errors (``--nmax`` below 1 among
-them), 65 malformed or oversized data or memory run out, 70 a failed
+success, 2 suite violations, 64 usage errors (``--nmax`` or ``--jobs``
+below 1 among them), 65 malformed or oversized data or memory run out, 70 a failed
 internal certificate check (a bug: an optimum failed its re-check).  ``tau``,
 ``family --recognize`` and the searches of ``compute`` (unless ``--force``)
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches

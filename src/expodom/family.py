@@ -25,10 +25,9 @@ One helper, ``_memo``, fills and reads all six tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .canon import (
     canonical_code,
@@ -58,8 +57,7 @@ class OperationNotApplicable(ValueError):
     """Refused to apply a growth operation whose guard is false."""
 
 
-@dataclass(frozen=True)
-class TauResult:
+class TauResult(NamedTuple):
     """Minimum repair influence at a vertex, with a witness candidate set.
 
     The value is always finite.  On a connected graph the empty set is
@@ -197,15 +195,13 @@ def apply_op(g: Graph, op: int, attach: int) -> Graph:
     return add_pendant_path(g, attach, op)
 
 
-@dataclass(frozen=True)
-class OpStep:
+class OpStep(NamedTuple):
     op: int
     attach: int
     added: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OpTrace:
+class OpTrace(NamedTuple):
     """Construction certificate: replaying the steps from P_1 rebuilds the
     tree (up to isomorphism) with every guard re-checked."""
 

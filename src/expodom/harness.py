@@ -17,10 +17,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .canon import canonical_code, tree_isomorphism_map
 from .enumeration import (
@@ -72,31 +71,45 @@ LEMMA2_SEED = 0x5EED
 LEMMA2_PAIRS = 500
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     graph6: str
     expected: str
     observed: str
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict
-    checked: int
-    violations: list[Violation] = field(default_factory=list)
-    ms: int = 0
+    """One suite or scan run; ``ms`` is its wall time in milliseconds."""
+
+    def __init__(
+        self,
+        suite: str,
+        params: dict,
+        checked: int,
+        violations: list[Violation] | None = None,
+        ms: int = 0,
+    ):
+        self.suite = suite
+        self.params = params
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.ms = ms
 
     @property
     def passed(self) -> bool:
         return not self.violations
 
     def to_json_obj(self) -> dict:
-        # the field order is the pinned key order of the JSON report
-        return asdict(self)
+        # the pinned key order of the JSON report
+        return {
+            "suite": self.suite,
+            "params": self.params,
+            "checked": self.checked,
+            "violations": [v.to_json_obj() for v in self.violations],
+            "ms": self.ms,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -415,8 +428,7 @@ def _run_enumcount(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
     return n_max, flat
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     default_nmax: int
     run: Callable[[int, int], tuple[int, list[tuple]]]  # (n_max, jobs)
 
@@ -445,6 +457,8 @@ def _report(name: str, spec: SuiteSpec, n_max: int | None, jobs: int) -> Report:
     n_max = spec.default_nmax if n_max is None else n_max
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if n_max > MAX_ORDER:
         # every suite and scan enumerates trees up to n_max
         raise ValueError(

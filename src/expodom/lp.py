@@ -10,17 +10,16 @@ evaluates the closed-form certificates and lower bounds attached to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graph import Graph, NotTreeError, is_subcubic_tree
 from .simplex import check_min_geq, solve_min_geq
 from .weights import porous_rows
 
 
-@dataclass(frozen=True)
-class LpModel:
+class LpModel(NamedTuple):
     """min sum(x) s.t. matrix . x >= rhs, x >= 0."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -32,8 +31,7 @@ class LpModel:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str
     primal: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
@@ -81,8 +79,7 @@ def fractional_porous_number(g: Graph) -> Fraction:
     return sol.objective
 
 
-@dataclass(frozen=True)
-class CanonicalSolution:
+class CanonicalSolution(NamedTuple):
     """The degree-based primal/dual pair for subcubic trees.
 
     Primal mass 1/3 on endvertices, 1/6 on degree-2 vertices, 0 on degree-3

@@ -25,7 +25,6 @@ times the dual multiplier of the LP as given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import CertificateError
@@ -33,12 +32,20 @@ from .graph import CertificateError
 ZERO = Fraction(0)
 
 
-@dataclass
 class SimplexSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: list[Fraction] | None = None
-    y: list[Fraction] | None = None
-    objective: Fraction | None = None
+    """Status plus, when optimal, primal, dual and objective value."""
+
+    def __init__(
+        self,
+        status: str,  # "optimal" | "infeasible" | "unbounded"
+        x: list[Fraction] | None = None,
+        y: list[Fraction] | None = None,
+        objective: Fraction | None = None,
+    ):
+        self.status = status
+        self.x = x
+        self.y = y
+        self.objective = objective
 
 
 def _rationals(values):

@@ -46,8 +46,8 @@ Disconnected inputs are solved per component and recombined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
+from typing import NamedTuple
 
 from .graph import CertificateError, Graph, connected_components, induced_subgraph
 from .weights import (
@@ -60,8 +60,7 @@ from .weights import (
 )
 
 
-@dataclass(frozen=True)
-class DomCertificate:
+class DomCertificate(NamedTuple):
     """Optimum value plus a witness set and its verification payload.
 
     Minimality is certified by the search itself (every smaller level was

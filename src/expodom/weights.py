@@ -21,8 +21,8 @@ shift is positive), and "weight at least 1" reads ``total >= 1 << n``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import INF, Graph, bfs_distances, bfs_distances_excluding
 
@@ -67,8 +67,7 @@ def blocked_distance(g: Graph, dominators, u: int, v: int):
     return bfs_distances_excluding(g, v, dset)[u]
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(NamedTuple):
     """Per-vertex blocked and porous weights for one candidate set."""
 
     dominators: tuple[int, ...]

@@ -467,3 +467,32 @@ def test_certificate_error_exit_under_optimize():
     done = run_python("-O", "-c", script)
     assert done.returncode == 70, done.stderr
     assert done.stderr.startswith("expodom: certificate check failed: gamma_e witness")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "theorem2", "--nmax", "2", "--jobs", "0"),
+        ("conjecture", "--id", "1", "--jobs", "-1"),
+    ],
+)
+def test_jobs_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err == "expodom: jobs must be at least 1\n"
+
+
+def test_cold_import_loads_every_layer_and_no_dataclasses():
+    # a traced run reads every layer from sys.modules right after this import
+    layers = "simplex lp solvers weights graph canon enumeration family harness graph6 cli"
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import expodom.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        f"print([m for m in {layers.split()!r} if 'expodom.' + m not in sys.modules])\n"
+    )
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n[]\n"
