@@ -61,7 +61,7 @@ from .solvers import (
     exponential_parameters,
     porous_exponential_domination_number,
 )
-from .weights import weight_profile
+from .weights import influence
 
 # the literal Prufer oracle decodes every degree-bounded sequence; beyond
 # this order the counting identity (n!/|Aut| vs labeled count) takes over
@@ -188,12 +188,12 @@ def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
                          f"dist({u1},{u2})=2, dist({u1},{v})={dist[u1][v]}")
                     )
     for dom in all_minimum_porous_sets(g):
-        prof = weight_profile(g, dom)
+        porous = influence(g, dom, False)
         for u in sorted(low):
-            if prof.porous[u] != 1:
+            if porous[u] != 1 << g.n:
                 out.append(
                     (g6, f"porous weight 1 at low-degree vertex {u} (D={dom})",
-                     str(prof.porous[u]))
+                     str(Fraction(porous[u], 1 << g.n)))
                 )
         if not set(dom) <= v3:
             out.append(
@@ -271,13 +271,13 @@ def _check_lemma1(g6: str, g: Graph) -> list[tuple]:
     low = [u for u in range(g.n) if g.degree(u) <= 2]
     for size in range(0, min(3, g.n) + 1):
         for dom in combinations(range(g.n), size):
-            prof = weight_profile(g, dom)
+            blocked = influence(g, dom, True)
             for u in low:
-                if prof.blocked[u] > 2:
+                if blocked[u] > 2 << g.n:
                     out.append(
                         (g6,
                          f"blocked weight <= 2 at degree-<=2 vertex {u}, D={dom}",
-                         str(prof.blocked[u]))
+                         str(Fraction(blocked[u], 1 << g.n)))
                     )
     return out
 
@@ -367,14 +367,14 @@ def _run_lemma1(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
     for depth in range(1, 6):
         t = full_binary_tree(depth)
         leaves = full_binary_tree_leaves(depth)
-        prof = weight_profile(t, leaves)
+        root = influence(t, leaves, True)[0]
         checked += 1
-        if prof.blocked[0] != 2:
+        if root != 2 << t.n:
             flat.append(
                 (emit_graph6(t),
                  f"blocked weight exactly 2 at the root of depth-{depth} "
                  "full binary tree with the leaves as dominators",
-                 str(prof.blocked[0]))
+                 str(Fraction(root, 1 << t.n)))
             )
     return checked, flat
 
@@ -441,7 +441,7 @@ SUITES: dict[str, SuiteSpec] = {
     "theorem4": SuiteSpec(10, _sweep(_check_theorem4, reduce=_reduce_theorem4)),
     "theorem5": SuiteSpec(12, _sweep(_check_theorem5, _tree_cycle_corpus)),
     "corollary2": SuiteSpec(12, _sweep(_check_corollary2)),
-    "lemma1": SuiteSpec(8, _run_lemma1),
+    "lemma1": SuiteSpec(11, _run_lemma1),
     "lemma2": SuiteSpec(10, _run_lemma2),
     "theorem1equiv": SuiteSpec(9, _sweep(_check_theorem1equiv)),
     "enumcount": SuiteSpec(16, _run_enumcount),

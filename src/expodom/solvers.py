@@ -40,7 +40,8 @@ is at most ``most[s][v]`` field by field, so when child v fails and
 children that would fail their own prune.
 
 Witnesses are therefore always the lexicographically smallest optimum set,
-and every witness is re-checked on its own before it is returned.
+and every witness is re-checked against its own predicate, in the kernel's
+integers, before it is returned.
 Disconnected inputs are solved per component and recombined.
 """
 
@@ -51,17 +52,16 @@ from typing import NamedTuple
 
 from .graph import CertificateError, Graph, connected_components, induced_subgraph
 from .weights import (
-    WeightProfile,
     is_dominating,
     is_exponential_dominating,
+    is_porous_exponential_dominating,
     is_restricted_dominating,
     porous_rows,
-    weight_profile,
 )
 
 
 class DomCertificate(NamedTuple):
-    """Optimum value plus a witness set and its verification payload.
+    """Optimum value plus a witness set.
 
     Minimality is certified by the search itself (every smaller level was
     exhausted); the witness is re-checked against the defining predicate
@@ -71,7 +71,6 @@ class DomCertificate(NamedTuple):
     parameter: str
     value: int
     witness: tuple[int, ...]
-    profile: WeightProfile | None = None
 
 
 def _certify(ok: bool, what: str) -> None:
@@ -309,14 +308,14 @@ def _per_component(g: Graph, take):
 
 
 def _exponential_certificate(g: Graph, parameter: str, value: int, sets):
-    """Re-check the first of ``sets`` on its own, against its own profile."""
+    """Re-check the first of ``sets`` against its own parameter's predicate."""
     witness = sets[0]
-    if g.n == 0:
-        return DomCertificate(parameter, value, witness)
-    profile = weight_profile(g, witness)
-    least = profile.min_blocked() if parameter == "gamma_e" else profile.min_porous()
-    _certify(least >= 1, f"{parameter} witness is not dominating")
-    return DomCertificate(parameter, value, witness, profile=profile)
+    if parameter == "gamma_e":
+        ok = is_exponential_dominating(g, witness)
+    else:
+        ok = is_porous_exponential_dominating(g, witness)
+    _certify(ok, f"{parameter} witness is not dominating")
+    return DomCertificate(parameter, value, witness)
 
 
 def exponential_parameters(g: Graph) -> tuple[DomCertificate, DomCertificate]:

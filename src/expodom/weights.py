@@ -27,15 +27,22 @@ from typing import NamedTuple
 from .graph import INF, Graph, bfs_distances, bfs_distances_excluding
 
 
+def _vertex_set(g: Graph, vertices, what: str) -> set:
+    """The vertices as a set; ValueError if one is outside 0..g.n-1 (so -1
+    never wraps around to the last vertex)."""
+    vset = set(vertices)
+    if any(not 0 <= v < g.n for v in vset):
+        raise ValueError(f"{what} outside the vertex range")
+    return vset
+
+
 def influence(g: Graph, dominators, blocked: bool) -> list[int]:
     """Each vertex's blocked (or porous) weight from the set, times 2**g.n.
 
     Raises ValueError if a dominator is not a vertex of g.
     """
     n = g.n
-    dset = set(dominators)
-    if any(not 0 <= v < n for v in dset):
-        raise ValueError("dominator outside the vertex range")
+    dset = _vertex_set(g, dominators, "dominator")
     total = [0] * n
     for v in dset:
         if blocked:
@@ -58,9 +65,11 @@ def blocked_distance(g: Graph, dominators, u: int, v: int):
     """Length of a shortest u-v path whose only dominator is the endpoint v.
 
     Returns math.inf when no such path exists, in particular when u is a
-    different dominator.  Raises ValueError if v is not a dominator.
+    different dominator.  Raises ValueError if u, v or a dominator is not a
+    vertex of g, or if v is not a dominator.
     """
-    dset = set(dominators)
+    dset = _vertex_set(g, dominators, "dominator")
+    _vertex_set(g, (u, v), "vertex")
     if v not in dset:
         raise ValueError(f"vertex {v} is not in the dominating set")
     dset.discard(v)
@@ -105,18 +114,24 @@ def is_porous_exponential_dominating(g: Graph, dominators) -> bool:
 
 
 def is_dominating(g: Graph, dominators) -> bool:
-    """Classical domination: every vertex is in the set or adjacent to it."""
-    dset = set(dominators)
+    """Classical domination: every vertex is in the set or adjacent to it.
+
+    Raises ValueError if a dominator is not a vertex of g.
+    """
+    dset = _vertex_set(g, dominators, "dominator")
     return all(
         u in dset or any(v in dset for v in g.adj[u]) for u in range(g.n)
     )
 
 
 def is_restricted_dominating(g: Graph, dominators, targets) -> bool:
-    """Every target vertex outside the set has a neighbor in the set."""
-    dset = set(dominators)
+    """Every target vertex outside the set has a neighbor in the set.
+
+    Raises ValueError if a dominator or a target is not a vertex of g.
+    """
+    dset = _vertex_set(g, dominators, "dominator")
     return all(
         u in dset or any(v in dset for v in g.adj[u])
-        for u in targets
+        for u in _vertex_set(g, targets, "target")
         if u not in dset
     )

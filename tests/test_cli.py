@@ -469,6 +469,21 @@ def test_certificate_error_exit_under_optimize():
     assert done.stderr.startswith("expodom: certificate check failed: gamma_e witness")
 
 
+def test_porous_certificate_error_exit_under_optimize():
+    # a bad gamma_e_star witness alone is caught too, gamma_e's being sound
+    script = (
+        "from expodom import cli, solvers\n"
+        "real = solvers._per_component\n"
+        "solvers._per_component = lambda g, take: [(1, [(0,)]), real(g, take)[1]]\n"
+        "raise SystemExit(cli.main(['compute', '--fixture', 'f2']))\n"
+    )
+    done = run_python("-O", "-c", script)
+    assert done.returncode == 70, done.stderr
+    assert done.stderr.startswith(
+        "expodom: certificate check failed: gamma_e_star witness"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

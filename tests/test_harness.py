@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from expodom import graph6, harness
-from expodom.graph6 import parse_graph6
+import expodom
+from expodom import graph6, harness, solvers, weights
+from expodom.fixtures import fixture_f1, fixture_f2
+from expodom.graph import Graph
+from expodom.graph6 import emit_graph6, parse_graph6
 from expodom.harness import (
     Report,
     SUITES,
@@ -145,3 +148,57 @@ def test_sweeps_parse_no_graph6(monkeypatch, jobs):
     report = run_suite("theorem2", 8, jobs=jobs)
     assert report.passed
     assert report.checked == 28
+
+
+def test_influence_checks_build_no_weight_profile(monkeypatch):
+    # witnesses and suite weights are read in the kernel's integers
+    def refuse(g, dominators):
+        raise AssertionError("built a Fraction weight profile")
+
+    monkeypatch.setattr(weights, "weight_profile", refuse)
+    for module in (expodom, solvers, harness):
+        monkeypatch.setattr(module, "weight_profile", refuse, raising=False)
+    graphs = [fixture_f1(1), fixture_f2(), Graph(0), Graph(4, [(0, 1), (2, 3)])]
+    values = [
+        tuple(cert.value for cert in solvers.exponential_parameters(g))
+        for g in graphs
+    ]
+    assert values == [(3, 3), (6, 4), (0, 0), (2, 2)]
+    assert run_suite("lemma1", 7).passed
+    assert run_suite("theorem3", 8).passed
+    f2 = graphs[1]  # no enumerated tree meets theorem 3's premise; f2 does
+    assert harness._check_theorem3(emit_graph6(f2), f2) == []
+
+
+def _inflate_first_low_vertex(monkeypatch):
+    """Make the influence that harness reads give weight 5/2 to the first
+    vertex of degree at most 2."""
+    real = harness.influence
+
+    def planted(g, dominators, blocked):
+        total = real(g, dominators, blocked)
+        u = min(v for v in range(g.n) if g.degree(v) <= 2)
+        total[u] = 5 << (g.n - 1)
+        return total
+
+    monkeypatch.setattr(harness, "influence", planted)
+
+
+def test_lemma1_reports_a_planted_weight(monkeypatch):
+    _inflate_first_low_vertex(monkeypatch)
+    report = run_suite("lemma1", 2)
+    assert {v.observed for v in report.violations} == {"5/2"}
+    assert Violation(
+        emit_graph6(Graph(1)), "blocked weight <= 2 at degree-<=2 vertex 0, D=()", "5/2"
+    ) in report.violations
+    roots = [v for v in report.violations if "at the root of depth-" in v.expected]
+    assert len(roots) == 5
+
+
+def test_theorem3_reports_a_planted_weight(monkeypatch):
+    _inflate_first_low_vertex(monkeypatch)
+    g = fixture_f2()
+    assert harness._check_theorem3(emit_graph6(g), g) == [
+        (emit_graph6(g),
+         "porous weight 1 at low-degree vertex 4 (D=(0, 1, 8, 15))", "5/2")
+    ]

@@ -45,7 +45,6 @@ def test_record_fields_are_read_only(record):
 
 
 def test_record_defaults_and_methods():
-    assert DomCertificate(parameter="gamma", value=1, witness=(0,)).profile is None
     assert PROFILE.min_blocked() == PROFILE.min_porous() == F(1, 2)
     assert MODEL.size == 1
     assert OpTrace.from_json_obj(TRACE.to_json_obj()) == TRACE

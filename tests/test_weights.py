@@ -17,8 +17,10 @@ from expodom.fixtures import (
 )
 from expodom.weights import (
     blocked_distance,
+    is_dominating,
     is_exponential_dominating,
     is_porous_exponential_dominating,
+    is_restricted_dominating,
     weight_profile,
 )
 
@@ -133,9 +135,34 @@ def test_profile_rejects_out_of_range():
         weight_profile(path(3), {5})
 
 
+def blocked_distance_to(g, dset):
+    return blocked_distance(g, dset, 0, *dset)
+
+
+def blocked_distance_from(g, dset):
+    return blocked_distance(g, {0}, *dset, 0)
+
+
+def restricted_dominators(g, dset):
+    return is_restricted_dominating(g, dset, range(g.n))
+
+
+def restricted_targets(g, dset):
+    return is_restricted_dominating(g, {0}, dset)
+
+
 @pytest.mark.parametrize(
     "check",
-    [weight_profile, is_exponential_dominating, is_porous_exponential_dominating],
+    [
+        weight_profile,
+        is_exponential_dominating,
+        is_porous_exponential_dominating,
+        is_dominating,
+        restricted_dominators,
+        restricted_targets,
+        blocked_distance_to,
+        blocked_distance_from,
+    ],
 )
 @pytest.mark.parametrize("bad", [-1, 2])
 def test_out_of_range_dominator_rejected(check, bad):
