@@ -28,6 +28,7 @@ from .graph import (
     diameter,
     is_subcubic_tree,
     parse_edge_list,
+    path,
 )
 from .graph6 import emit_graph6, parse_graph6
 from .harness import Report, Violation, run_suite, search_counterexample

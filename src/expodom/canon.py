@@ -10,7 +10,8 @@ reads a bare adjacency sequence, so the enumerator and the Prufer oracle
 code their trees without building a ``Graph``.  ``tree_from_code`` is the
 inverse of ``canonical_code``: it numbers the tree a code spells in BFS
 order, children in code order, and is the one place a canonical
-representative is built.
+representative is built: ``tree_from_code(canonical_code(g))``.  The
+centers are found inside the walk and are not exported.
 The same codes order every vertex's children for explicit isomorphism maps
 between trees, and their multiplicities give automorphism counts (used by
 the labeled-count enumeration oracle).
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .graph import Graph, NotTreeError, is_tree
+from .graph import Graph, NotTreeError
 
 
 def _centers(adj) -> list[int]:
@@ -41,13 +42,6 @@ def _centers(adj) -> list[int]:
         removed += len(nxt)
         leaves = nxt
     return sorted(leaves)
-
-
-def tree_centers(g: Graph) -> list[int]:
-    """The one or two middle vertices obtained by repeatedly peeling leaves."""
-    if not is_tree(g):
-        raise NotTreeError("centers are defined for trees only")
-    return _centers(g.adj)
 
 
 def _walk(adj, roots: list[int]) -> tuple[list[int], list[bytes]]:
@@ -125,8 +119,8 @@ def canonical_code(g: Graph) -> bytes:
 def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     """Canonical code plus a relabeling order (order[new_id] = old_id).
 
-    Applying the order with ``relabel`` produces the same adjacency for any
-    two isomorphic input trees: ``tree_from_code(code)``.
+    Renaming vertex order[i] to i gives the same adjacency for any two
+    isomorphic input trees: that of ``tree_from_code(code)``.
     """
     code, root, parent, sub = _center_walk(g.adj)
     parent[root] = -1  # a second center becomes the root's child
@@ -181,11 +175,6 @@ def tree_from_code(code: bytes) -> Graph:
     adj = _code_adjacency(code)
     # every vertex but the root lists its parent first
     return Graph(len(adj), [(adj[v][0], v) for v in range(1, len(adj))])
-
-
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of the tree's isomorphism class."""
-    return tree_from_code(canonical_code(g))
 
 
 def tree_isomorphism_map(a: Graph, b: Graph):

@@ -168,12 +168,6 @@ def _pruefer_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
     return adj
 
 
-def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
-    """Decode a Prufer sequence over labels 0..n-1 (length n-2) to a tree."""
-    adj = _pruefer_adjacency(seq, n)
-    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-
-
 def _bounded_sequences(n: int, length: int) -> Iterator[tuple[int, ...]]:
     """All sequences over 0..n-1 where no label appears more than twice."""
     counts = [0] * n

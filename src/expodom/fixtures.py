@@ -32,12 +32,6 @@ def fixture_f1(k: int) -> Graph:
     return Graph(nxt, edges)
 
 
-def fixture_f1_leg_midpoints(k: int) -> tuple[int, ...]:
-    """The middle vertex of every pendant leg of fixture_f1(k)."""
-    g = fixture_f1(k)
-    return tuple(v for v in range(k, g.n) if g.degree(v) == 2)
-
-
 def fixture_f2() -> Graph:
     edges = []
     for gadget in range(3):
@@ -48,16 +42,6 @@ def fixture_f2() -> Graph:
         edges.extend([(m1, root + 3), (m1, root + 4)])
         edges.extend([(m2, root + 5), (m2, root + 6)])
     return Graph(22, edges)
-
-
-def fixture_f2_porous_witness() -> tuple[int, ...]:
-    """Apex plus the three gadget roots."""
-    return (0, 1, 8, 15)
-
-
-def fixture_f2_blocked_witness() -> tuple[int, ...]:
-    """The six middle-layer vertices."""
-    return (2, 3, 9, 10, 16, 17)
 
 
 def full_binary_tree(depth: int) -> Graph:

@@ -227,22 +227,13 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return len(connected_components(g)) == 1
-
-
 def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and is_connected(g) and g.edge_count() == g.n - 1
-
-
-def is_subcubic(g: Graph) -> bool:
-    return g.max_degree() <= 3
+    connected = g.n >= 1 and len(connected_components(g)) == 1
+    return connected and g.edge_count() == g.n - 1
 
 
 def is_subcubic_tree(g: Graph) -> bool:
-    return is_tree(g) and is_subcubic(g)
+    return is_tree(g) and g.max_degree() <= 3
 
 
 def degree_partition(g: Graph):
@@ -299,11 +290,3 @@ def add_pendant_path(g: Graph, attach: int, length: int) -> Graph:
         edges.append((prev, new))
         prev = new
     return Graph(g.n + length, edges)
-
-
-def relabel(g: Graph, order: list[int]) -> Graph:
-    """Graph with vertex order[i] renamed to i."""
-    pos = [0] * g.n
-    for new, old in enumerate(order):
-        pos[old] = new
-    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])

@@ -9,7 +9,12 @@ times and reports them all; a non-empty scan result is a finding, not a failure.
 
 A sweep item is ``(check, g6, g)``: it carries the graph its graph6 string
 names, so no sweep parses the graph6 it has just written, and a worker
-process unpickles the ``Graph`` instead.
+process unpickles the ``Graph`` instead.  Every check judges its graph
+alone: theorem4 flags an "extra hit" off the 3-star and a "no hit" on it.
+As lemma1 appends full binary trees, theorem3 appends ``fixture_f2``, which
+meets its premise (no enumerated tree up to order 12 does).  The equality
+checks (theorem3, theorem4, conjecture 2) search only when the LP value
+computed for their graph is an integer, never assuming Theorem 2.
 """
 
 from __future__ import annotations
@@ -125,6 +130,10 @@ def _tree_cycle_corpus(n_max: int) -> list[Graph]:
     return graphs
 
 
+def _tree_f2_corpus(n_max: int) -> list[Graph]:
+    return _tree_corpus(n_max) + [fixture_f2()]
+
+
 # -- per-instance checks (module level so worker processes can import them) --
 
 
@@ -160,9 +169,11 @@ def _check_corollary1(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
-    cert = porous_exponential_domination_number(g)
     lp = fractional_porous_number(g)
-    if not (cert.value == lp and cert.value > 1):
+    # the premise gamma_e_star = lp > 1; the search runs at an integer lp only
+    if lp.denominator != 1 or lp <= 1:
+        return []
+    if porous_exponential_domination_number(g).value != lp:
         return []
     out: list[tuple] = []
     v1, v2, v3 = degree_partition(g)
@@ -211,25 +222,14 @@ def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_theorem4(g6: str, g: Graph) -> list[tuple]:
-    ge = exponential_domination_number(g).value
     lp = fractional_porous_number(g)
-    return [("hit", g6)] if Fraction(ge) == lp else []
-
-
-def _reduce_theorem4(per_item: list[list[tuple]], n_max: int) -> list[tuple]:
-    hits = sorted(g6 for items in per_item for tag, g6 in items if tag == "hit")
-    k13 = emit_graph6(star(3))
-    out = []
-    for g6 in hits:
-        if g6 != k13:
-            out.append(
-                (g6, "gamma_e = gamma_ef_star only for the 3-star", "extra hit")
-            )
-    if n_max >= 4 and k13 not in hits:
-        out.append(
-            (k13, "gamma_e = gamma_ef_star holds for the 3-star", "no hit")
-        )
-    return out
+    hit = lp.denominator == 1 and exponential_domination_number(g).value == lp
+    k13 = g.n == 4 and g.max_degree() == 3  # the 3-star, the one hit expected
+    if hit == k13:
+        return []
+    if k13:
+        return [(g6, "gamma_e = gamma_ef_star holds for the 3-star", "no hit")]
+    return [(g6, "gamma_e = gamma_ef_star only for the 3-star", "extra hit")]
 
 
 def _check_theorem5(g6: str, g: Graph) -> list[tuple]:
@@ -314,13 +314,13 @@ def _check_conjecture1(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_conjecture2(g6: str, g: Graph) -> list[tuple]:
-    ges = porous_exponential_domination_number(g).value
     lp = fractional_porous_number(g)
-    if Fraction(ges) != lp:
+    if lp.denominator != 1:
         return []
-    code = canonical_code(g)
-    known = {canonical_code(star(3)), canonical_code(fixture_f2())}
-    if code in known:
+    ges = porous_exponential_domination_number(g).value
+    if ges != lp:
+        return []
+    if canonical_code(g) in {canonical_code(star(3)), canonical_code(fixture_f2())}:
         return []
     return [
         (g6, "gamma_e_star = gamma_ef_star only on the two known trees",
@@ -333,28 +333,21 @@ def _mp_item(args):
     return check(g6, g)
 
 
-def _run_per_graph(check: Callable, corpus: list[Graph], jobs: int) -> list[list[tuple]]:
-    items = [(check, emit_graph6(g), g) for g in corpus]
-    if jobs > 1 and len(items) > 1:
-        # imported here: at module level it adds about 10 ms to every start
-        from multiprocessing import get_context
-
-        with get_context("fork").Pool(min(jobs, len(items))) as pool:
-            return pool.map(_mp_item, items)
-    return [_mp_item(item) for item in items]
-
-
-def _sweep(check: Callable, corpus: Callable = _tree_corpus,
-           reduce: Callable | None = None) -> Callable:
-    """``check(g6, g)`` on each graph of ``corpus(n_max)``; the violations are
-    flattened, or ``reduce(per_item, n_max)`` makes them."""
+def _sweep(check: Callable, corpus: Callable = _tree_corpus) -> Callable:
+    """``check(g6, g)`` on each graph of ``corpus(n_max)``, the violations
+    flattened."""
 
     def run(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
-        graphs = corpus(n_max)
-        results = _run_per_graph(check, graphs, jobs)
-        if reduce is not None:
-            return len(graphs), reduce(results, n_max)
-        return len(graphs), [v for items in results for v in items]
+        items = [(check, emit_graph6(g), g) for g in corpus(n_max)]
+        if jobs > 1 and len(items) > 1:
+            # imported here: at module level it adds about 10 ms to every start
+            from multiprocessing import get_context
+
+            with get_context("fork").Pool(min(jobs, len(items))) as pool:
+                results = pool.map(_mp_item, items)
+        else:
+            results = [_mp_item(item) for item in items]
+        return len(items), [v for item in results for v in item]
 
     return run
 
@@ -437,8 +430,8 @@ SUITES: dict[str, SuiteSpec] = {
     "chain": SuiteSpec(10, _sweep(_check_chain, _tree_cycle_corpus)),
     "theorem2": SuiteSpec(12, _sweep(_check_theorem2)),
     "corollary1": SuiteSpec(10, _sweep(_check_corollary1)),
-    "theorem3": SuiteSpec(10, _sweep(_check_theorem3)),
-    "theorem4": SuiteSpec(10, _sweep(_check_theorem4, reduce=_reduce_theorem4)),
+    "theorem3": SuiteSpec(10, _sweep(_check_theorem3, _tree_f2_corpus)),
+    "theorem4": SuiteSpec(10, _sweep(_check_theorem4)),
     "theorem5": SuiteSpec(12, _sweep(_check_theorem5, _tree_cycle_corpus)),
     "corollary2": SuiteSpec(12, _sweep(_check_corollary2)),
     "lemma1": SuiteSpec(11, _run_lemma1),

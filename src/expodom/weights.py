@@ -113,17 +113,6 @@ def is_porous_exponential_dominating(g: Graph, dominators) -> bool:
     return all(w >= one for w in influence(g, dominators, False))
 
 
-def is_dominating(g: Graph, dominators) -> bool:
-    """Classical domination: every vertex is in the set or adjacent to it.
-
-    Raises ValueError if a dominator is not a vertex of g.
-    """
-    dset = _vertex_set(g, dominators, "dominator")
-    return all(
-        u in dset or any(v in dset for v in g.adj[u]) for u in range(g.n)
-    )
-
-
 def is_restricted_dominating(g: Graph, dominators, targets) -> bool:
     """Every target vertex outside the set has a neighbor in the set.
 
@@ -131,7 +120,12 @@ def is_restricted_dominating(g: Graph, dominators, targets) -> bool:
     """
     dset = _vertex_set(g, dominators, "dominator")
     return all(
-        u in dset or any(v in dset for v in g.adj[u])
+        any(v in dset for v in g.adj[u])
         for u in _vertex_set(g, targets, "target")
         if u not in dset
     )
+
+
+def is_dominating(g: Graph, dominators) -> bool:
+    """Classical domination: ``is_restricted_dominating`` on every vertex."""
+    return is_restricted_dominating(g, dominators, range(g.n))

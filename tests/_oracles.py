@@ -11,8 +11,10 @@ definition, and ``test_weights`` compares the two.  Past brute-force
 orders, ``milp_gamma_e_star`` judges gamma_e_star with an integer program
 solved in floating point and re-checked exactly.  The module also holds
 random graph generators with fixed seeds, a Hypothesis strategy for
-arbitrary graphs, and two LP helpers only the tests use (the dual solved on
-its own, and a CPLEX LP export for external solvers).
+arbitrary graphs, two LP helpers only the tests use (the dual solved on
+its own, and a CPLEX LP export for external solvers), and the small tree
+and fixture helpers that only the tests call: ``tree_centers``,
+``tree_from_pruefer``, ``relabel`` and three fixture witnesses.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from expodom.enumeration import enumerate_subcubic_trees
-from expodom.graph import Graph
+from expodom.canon import _centers
+from expodom.enumeration import _pruefer_adjacency, enumerate_subcubic_trees
+from expodom.fixtures import fixture_f1
+from expodom.graph import Graph, NotTreeError, is_tree
 from expodom.lp import LpModel
 from expodom.simplex import SimplexSolution, solve_max_leq
 from expodom.weights import (
@@ -136,6 +140,44 @@ def _add_and_drop_edges(rng: random.Random, t: Graph) -> Graph:
         # drop one edge to exercise disconnected graphs
         edges.pop(rng.randrange(len(edges)))
     return Graph(n, edges)
+
+
+def relabel(g: Graph, order: list[int]) -> Graph:
+    """Graph with vertex order[i] renamed to i."""
+    pos = [0] * g.n
+    for new, old in enumerate(order):
+        pos[old] = new
+    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+
+
+def tree_centers(g: Graph) -> list[int]:
+    """The one or two middle vertices obtained by repeatedly peeling leaves."""
+    if not is_tree(g):
+        raise NotTreeError("centers are defined for trees only")
+    return _centers(g.adj)
+
+
+def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:
+    """Decode a Prufer sequence over labels 0..n-1 (length n-2) to a tree,
+    through the decoder that ``enumeration.pruefer_class_count`` uses."""
+    adj = _pruefer_adjacency(seq, n)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def fixture_f1_leg_midpoints(k: int) -> tuple[int, ...]:
+    """The middle vertex of every pendant leg of fixture_f1(k)."""
+    g = fixture_f1(k)
+    return tuple(v for v in range(k, g.n) if g.degree(v) == 2)
+
+
+def fixture_f2_porous_witness() -> tuple[int, ...]:
+    """Apex plus the three gadget roots of fixture_f2."""
+    return (0, 1, 8, 15)
+
+
+def fixture_f2_blocked_witness() -> tuple[int, ...]:
+    """The six middle-layer vertices of fixture_f2."""
+    return (2, 3, 9, 10, 16, 17)
 
 
 def random_relabel(rng: random.Random, g: Graph) -> Graph:

@@ -9,9 +9,10 @@ from expodom.enumeration import (
     labeled_subcubic_tree_count,
     otter_class_count,
     pruefer_class_count,
-    tree_from_pruefer,
 )
 from expodom.graph import is_subcubic_tree, is_tree, path, star
+
+from _oracles import tree_from_pruefer
 
 
 def test_smallest_orders():

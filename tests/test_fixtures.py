@@ -2,10 +2,7 @@ import pytest
 
 from expodom.fixtures import (
     fixture_f1,
-    fixture_f1_leg_midpoints,
     fixture_f2,
-    fixture_f2_blocked_witness,
-    fixture_f2_porous_witness,
     full_binary_tree,
     full_binary_tree_leaves,
     get_fixture,
@@ -14,6 +11,12 @@ from expodom.graph import diameter, is_subcubic_tree
 from expodom.weights import (
     is_exponential_dominating,
     is_porous_exponential_dominating,
+)
+
+from _oracles import (
+    fixture_f1_leg_midpoints,
+    fixture_f2_blocked_witness,
+    fixture_f2_porous_witness,
 )
 
 

@@ -4,8 +4,9 @@ import pytest
 
 import expodom
 from expodom import graph6, harness, solvers, weights
+from expodom.canon import canonical_code, tree_from_code
 from expodom.fixtures import fixture_f1, fixture_f2
-from expodom.graph import Graph
+from expodom.graph import Graph, path, star
 from expodom.graph6 import emit_graph6, parse_graph6
 from expodom.harness import (
     Report,
@@ -83,6 +84,22 @@ def test_conjecture_scan_default_nmax():
     assert report.checked == 83
 
 
+def test_equality_checks_search_only_at_integer_lp_values(monkeypatch):
+    # gamma_ef_star = (n+2)/6 on trees, an integer only at n = 4 and 10
+    searched = []
+    real = harness.porous_exponential_domination_number
+
+    def spy(g):
+        searched.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(harness, "porous_exponential_domination_number", spy)
+    report = search_counterexample(2)
+    assert report.checked == 83 and report.violations == []
+    assert len(searched) == 39
+    assert sorted(set(searched)) == [4, 10]
+
+
 def test_pool_has_at_most_one_worker_per_item(monkeypatch):
     # a fake context: records the requested pool size and starts no worker
     import multiprocessing
@@ -111,12 +128,50 @@ def test_pool_has_at_most_one_worker_per_item(monkeypatch):
     assert sizes == [3]
 
 
-def test_theorem4_reduce_flags_missing_hit():
-    from expodom.harness import _reduce_theorem4
+def _plant_value(monkeypatch, solver, target, value):
+    """Make the harness binding of ``solver`` report ``value`` on the tree
+    isomorphic to ``target``."""
+    real = getattr(harness, solver)
+    code = canonical_code(target)
 
-    # no hit reported at n_max >= 4 means the expected witness was missed
-    out = _reduce_theorem4([[]], 4)
-    assert len(out) == 1 and "no hit" in out[0][2]
+    def planted(g):
+        cert = real(g)
+        if g.n == target.n and canonical_code(g) == code:
+            return cert._replace(value=value)
+        return cert
+
+    monkeypatch.setattr(harness, solver, planted)
+
+
+def test_theorem4_reports_a_missed_3_star(monkeypatch):
+    _plant_value(monkeypatch, "exponential_domination_number", star(3), 2)
+    report = run_suite("theorem4", 6)
+    assert report.violations == [
+        Violation("Cs", "gamma_e = gamma_ef_star holds for the 3-star", "no hit")
+    ]
+    assert emit_graph6(star(3)) == "Cs"
+    # below order 4 the 3-star is not in the corpus, so nothing is missed
+    assert run_suite("theorem4", 3).violations == []
+
+
+def test_theorem4_reports_an_extra_hit_at_order_10(monkeypatch):
+    # every tree of order 10 has gamma_ef_star = 2; P10 has gamma_e = 3
+    _plant_value(monkeypatch, "exponential_domination_number", path(10), 2)
+    report = run_suite("theorem4", 10)
+    g6 = emit_graph6(tree_from_code(canonical_code(path(10))))
+    assert report.violations == [
+        Violation(g6, "gamma_e = gamma_ef_star only for the 3-star", "extra hit")
+    ]
+
+
+def test_conjecture2_reports_a_planted_equality_at_order_10(monkeypatch):
+    _plant_value(monkeypatch, "porous_exponential_domination_number", path(10), 2)
+    report = search_counterexample(2, 10)
+    g6 = emit_graph6(tree_from_code(canonical_code(path(10))))
+    assert report.violations == [
+        Violation(g6, "gamma_e_star = gamma_ef_star only on the two known trees",
+                  "gamma_e_star=2")
+    ]
 
 
 def test_lemma2_runs_fixed_pair_count():
@@ -193,6 +248,17 @@ def test_lemma1_reports_a_planted_weight(monkeypatch):
     ) in report.violations
     roots = [v for v in report.violations if "at the root of depth-" in v.expected]
     assert len(roots) == 5
+
+
+def test_theorem3_suite_reports_f2_under_a_planted_weight(monkeypatch):
+    _inflate_first_low_vertex(monkeypatch)
+    # f2 follows the 28 trees up to order 8, none of which meets the premise
+    report = run_suite("theorem3", 8)
+    assert report.checked == 29
+    f2 = emit_graph6(fixture_f2())
+    assert report.violations == [
+        Violation(f2, "porous weight 1 at low-degree vertex 4 (D=(0, 1, 8, 15))", "5/2")
+    ]
 
 
 def test_theorem3_reports_a_planted_weight(monkeypatch):

@@ -19,11 +19,7 @@ from expodom.graph import (
 )
 from expodom.graph6 import emit_graph6
 from expodom.enumeration import trees_up_to
-from expodom.fixtures import (
-    fixture_f1,
-    fixture_f2,
-    fixture_f2_porous_witness,
-)
+from expodom.fixtures import fixture_f1, fixture_f2
 from expodom.lp import fractional_porous_number
 from expodom.solvers import (
     all_minimum_porous_sets,
@@ -44,6 +40,7 @@ from expodom.weights import (
 from _oracles import (
     brute_all_minimum,
     brute_minimum,
+    fixture_f2_porous_witness,
     graphs,
     milp_gamma_e_star,
     random_relabel,

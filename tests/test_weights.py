@@ -9,9 +9,7 @@ from expodom.graph import INF, path, star
 from expodom.enumeration import trees_up_to
 from expodom.fixtures import (
     fixture_f1,
-    fixture_f1_leg_midpoints,
     fixture_f2,
-    fixture_f2_porous_witness,
     full_binary_tree,
     full_binary_tree_leaves,
 )
@@ -24,7 +22,12 @@ from expodom.weights import (
     weight_profile,
 )
 
-from _oracles import influence_oracle, random_subcubic_graph
+from _oracles import (
+    fixture_f1_leg_midpoints,
+    fixture_f2_porous_witness,
+    influence_oracle,
+    random_subcubic_graph,
+)
 
 
 def test_blocked_distance_internal_dominator_blocks():
