@@ -9,9 +9,10 @@ is also the tree check: it raises NotTreeError on any other graph.  It
 reads a bare adjacency sequence, so the enumerator and the Prufer oracle
 code their trees without building a ``Graph``.  ``tree_from_code`` is the
 inverse of ``canonical_code``: it numbers the tree a code spells in BFS
-order, children in code order, and is the one place a canonical
-representative is built: ``tree_from_code(canonical_code(g))``.  The
-centers are found inside the walk and are not exported.
+order, children in code order, listing the ``Graph``'s edges in the same
+BFS, and is the one place a canonical representative is built:
+``tree_from_code(canonical_code(g))``.  The centers are found inside the
+walk and are not exported.
 The same codes order every vertex's children for explicit isomorphism maps
 between trees, and their multiplicities give automorphism counts (used by
 the labeled-count enumeration oracle).
@@ -132,13 +133,10 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     return code, order
 
 
-def _code_adjacency(code: bytes) -> list[tuple[int, ...]]:
-    """Sorted adjacency of the rooted tree that ``code`` spells, numbered in
-    BFS order from the root with each vertex's children in code order.
-
-    Raises ValueError unless ``code`` is one balanced group of the bytes
-    ``(`` and ``)``.
-    """
+def tree_from_code(code: bytes) -> Graph:
+    """The tree a code spells, the inverse of ``canonical_code``: the BFS
+    numbering of its rooted tree, children in code order.  Raises ValueError
+    unless ``code`` is one balanced group of the bytes ``(`` and ``)``."""
     children: list[list[int]] = []
     stack: list[int] = []
     for ch in code:
@@ -156,25 +154,14 @@ def _code_adjacency(code: bytes) -> list[tuple[int, ...]]:
     if stack or not children:
         raise ValueError(f"unbalanced or empty tree code {code!r}")
     # BFS from the root: the children of the i-th vertex reached get the
-    # next free ids, so every list comes out sorted (parent first)
-    adj: list[list[int]] = [[] for _ in children]
+    # next free ids
+    edges = []
     order = [0]
     for i, u in enumerate(order):
         for v in children[u]:
-            j = len(order)
-            adj[i].append(j)
-            adj[j].append(i)
+            edges.append((i, len(order)))
             order.append(v)
-    return [tuple(a) for a in adj]
-
-
-def tree_from_code(code: bytes) -> Graph:
-    """The tree a code spells, the inverse of ``canonical_code``: the BFS
-    numbering of its rooted tree, children in code order.  Raises ValueError
-    on a malformed code."""
-    adj = _code_adjacency(code)
-    # every vertex but the root lists its parent first
-    return Graph(len(adj), [(adj[v][0], v) for v in range(1, len(adj))])
+    return Graph(len(order), edges)
 
 
 def tree_isomorphism_map(a: Graph, b: Graph):

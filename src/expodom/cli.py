@@ -4,7 +4,8 @@ Subcommands: compute, enumerate, tau, family, verify, conjecture, fixture.
 All results are JSON on stdout (rationals as {"num", "den"} decimal strings)
 so identical invocations produce byte-identical output.  Exit codes: 0
 success, 2 suite violations, 64 usage errors (``--nmax`` or ``--jobs``
-below 1 among them), 65 malformed or oversized data or memory run out, 70 a failed
+below 1 among them, and ``family`` without exactly one of ``--nmax`` and
+``--recognize``), 65 malformed or oversized data or memory run out, 70 a failed
 internal certificate check (a bug: an optimum failed its re-check).  ``tau``,
 ``family --recognize`` and the searches of ``compute`` (unless ``--force``)
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
@@ -181,8 +182,6 @@ def _cmd_family(args) -> int:
         }
         print(json.dumps(payload))
         return EXIT_OK
-    if args.nmax is None:
-        raise ParseError("family needs --nmax or --recognize")
     for t in generate_family(args.nmax):
         print(emit_graph6(t))
     return EXIT_OK
@@ -242,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("family", help="generate or recognize family members")
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--recognize", metavar="INPUT",
-                   help="emit a construction trace for this tree")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--nmax", type=int)
+    mode.add_argument("--recognize", metavar="INPUT",
+                      help="emit a construction trace for this tree")
     p.add_argument("--format", choices=("auto", "edgelist", "graph6"),
                    default="auto")
     p.set_defaults(func=_cmd_family)

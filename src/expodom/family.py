@@ -41,7 +41,7 @@ from .graph import (
     NotSubcubicError,
     NotTreeError,
     add_pendant_path,
-    bfs_distances_excluding,
+    bfs_distances,
     delete_vertices,
 )
 from .solvers import (
@@ -107,7 +107,7 @@ def _tau_of_set(g: Graph, x: int, dset: set) -> int | None:
     is unreachable from x."""
     one = 1 << g.n
     weights = influence(g, dset, True)
-    dist_x = bfs_distances_excluding(g, x, dset)
+    dist_x = bfs_distances(g, x, dset)
     worst = 0
     for u, w in enumerate(weights):
         if w >= one:  # dominators included: each weighs at least 2

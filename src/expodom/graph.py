@@ -2,7 +2,9 @@
 
 Vertex ids are exactly 0..n-1.  Graphs are immutable after construction and
 safe to share across workers.  Distances are "extended naturals": plain ints
-plus ``math.inf`` for unreachable pairs.
+plus ``math.inf`` for unreachable pairs.  ``bfs_distances`` is the one
+shortest-path search: with a set of blocked vertices it also gives the
+blocked distances of exponential domination.
 """
 
 from __future__ import annotations
@@ -152,29 +154,15 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bfs_distances(g: Graph, source: int) -> list:
-    """Distances from source to every vertex; math.inf where unreachable."""
+def bfs_distances(g: Graph, source: int, blocked=()) -> list:
+    """Distances from source to every vertex; math.inf where unreachable.
+
+    Paths may not pass through a ``blocked`` vertex, and every blocked vertex
+    but the source reads math.inf.  A blocked source still reads 0 and is
+    searched from.
+    """
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    dist = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] is INF:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
-def bfs_distances_excluding(g: Graph, source: int, blocked) -> list:
-    """BFS distances in the subgraph with ``blocked`` vertices removed.
-
-    The source must not be blocked; blocked vertices report math.inf.
-    """
     dist = [INF] * g.n
     dist[source] = 0
     queue = deque([source])

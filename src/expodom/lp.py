@@ -71,8 +71,6 @@ LP_ORDER_LIMIT = 100
 @lru_cache(maxsize=4096)
 def fractional_porous_number(g: Graph) -> Fraction:
     """Optimum of the porous LP relaxation; always attained and rational."""
-    if g.n == 0:
-        return Fraction(0)
     sol = solve_exact(build_porous_lp(g))
     if sol.status != "optimal":  # feasible by x == 1, bounded below by 0
         raise RuntimeError(f"porous LP unexpectedly {sol.status}")

@@ -2,8 +2,10 @@
 
 All searches are exhaustive with pruning, never heuristic:
 
-* classical/restricted/forced domination run a lexicographic depth-first
+* classical and restricted domination run a lexicographic depth-first
   cover search over closed-neighborhood bitmasks with suffix-union pruning;
+  domination with a forced vertex x is restricted domination of V - N[x]
+  plus x;
 * the exponential parameters read one stream per component,
   ``_porous_leaves``: every porous-feasible set (the rows of
   ``weights.porous_rows``, summed as the set grows), one size at a time
@@ -98,33 +100,28 @@ def _closed_masks(g: Graph) -> list[int]:
 COVER_ORDER_LIMIT = 16384
 
 
-def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
-    """Smallest D containing ``forced`` with targets inside D or N(D)."""
-    n = g.n
+def _min_cover(g: Graph, targets) -> tuple[int, tuple[int, ...]]:
+    """Smallest D with targets inside D or N(D), lexicographically first.
+
+    A vertex whose closed neighborhood holds no target is in no minimum
+    cover, so it is never tried."""
     closed = _closed_masks(g)
     required = 0
     for v in targets:
         required |= 1 << v
-    forced_set = tuple(sorted(set(forced)))
-    base = 0
-    for v in forced_set:
-        base |= closed[v]
-    if required & ~base == 0:
-        return len(forced_set), forced_set
-
-    skip = set(forced_set)
-    candidates = [v for v in range(n) if v not in skip]
+    candidates = [v for v in range(g.n) if closed[v] & required]
     m = len(candidates)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] | closed[candidates[i]]
     best_gain = max(c.bit_count() for c in closed) if closed else 1
 
-    def dfs(slots: int, covered: int):
+    def dfs(slots: int):
         """First cover with at most ``slots`` picks, in lexicographic order
         of candidate positions; depth-first with an explicit stack."""
         picked: list[tuple[int, int]] = []  # (position, covered before it)
         pos = 0  # first position the next pick may take
+        covered = 0
         while True:
             missing = required & ~covered
             if missing == 0:
@@ -148,12 +145,10 @@ def _min_cover(g: Graph, targets, forced=()) -> tuple[int, tuple[int, ...]]:
             covered |= closed[candidates[pos]]
             pos += 1
 
-    lower = max(1, -(-(required & ~base).bit_count() // best_gain))
-    for extra in range(lower, len(candidates) + 1):
-        got = dfs(extra, base)
+    for size in range(-(-required.bit_count() // best_gain), m + 1):
+        got = dfs(size)
         if got is not None:
-            witness = tuple(sorted(forced_set + got))
-            return len(witness), witness
+            return len(got), got
     raise RuntimeError("cover search failed to terminate")  # unreachable
 
 
@@ -178,12 +173,15 @@ def restricted_domination_number(g: Graph, targets) -> DomCertificate:
 def domination_with_forced_vertex(g: Graph, x: int) -> int:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    value, witness = _min_cover(g, range(g.n), forced=(x,))
+    # D holds x and dominates g exactly when D - {x} covers V - N[x], and x
+    # covers none of V - N[x]
+    closed_x = {x, *g.adj[x]}
+    value, cover = _min_cover(g, (v for v in range(g.n) if v not in closed_x))
     _certify(
-        x in witness and is_dominating(g, witness),
+        is_dominating(g, (x, *cover)),
         "forced-vertex witness is not a dominating superset",
     )
-    return value
+    return value + 1
 
 
 # -- exponential domination: subset search -----------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graph import INF, Graph, bfs_distances, bfs_distances_excluding
+from .graph import INF, Graph, bfs_distances
 
 
 def _vertex_set(g: Graph, vertices, what: str) -> set:
@@ -45,11 +45,7 @@ def influence(g: Graph, dominators, blocked: bool) -> list[int]:
     dset = _vertex_set(g, dominators, "dominator")
     total = [0] * n
     for v in dset:
-        if blocked:
-            dist = bfs_distances_excluding(g, v, dset - {v})
-        else:
-            dist = bfs_distances(g, v)
-        for u, d in enumerate(dist):
+        for u, d in enumerate(bfs_distances(g, v, dset if blocked else ())):
             if d is not INF:
                 total[u] += 1 << (n + 1 - d)
     return total
@@ -72,8 +68,7 @@ def blocked_distance(g: Graph, dominators, u: int, v: int):
     _vertex_set(g, (u, v), "vertex")
     if v not in dset:
         raise ValueError(f"vertex {v} is not in the dominating set")
-    dset.discard(v)
-    return bfs_distances_excluding(g, v, dset)[u]
+    return bfs_distances(g, v, dset)[u]
 
 
 class WeightProfile(NamedTuple):

@@ -361,8 +361,18 @@ def test_family_recognize_size_guard(tmp_path, capsys, n):
 
 
 def test_family_needs_a_mode(capsys):
-    code, _, err = run_cli(capsys, "family")
-    assert code == 65
+    code, out, err = run_cli(capsys, "family")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage: expodom family")
+
+
+def test_family_refuses_both_modes(tmp_path, capsys):
+    src = write_graph(tmp_path, star(3))
+    code, out, err = run_cli(capsys, "family", "--nmax", "4", "--recognize", src)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage: expodom family")
 
 
 def test_verify_pass(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from expodom.canon import _code_adjacency, _tree_code, canonical_code
+from expodom.canon import canonical_code, tree_from_code
 from expodom.enumeration import (
     _subcubic_trees_cached,
     count_subcubic_trees,
@@ -65,7 +65,7 @@ def test_codes_are_canonical_distinct_and_complete():
         codes = _subcubic_trees_cached(n)
         assert all(a < b for a, b in zip(codes, codes[1:]))
         for c in codes:
-            assert _tree_code(_code_adjacency(c)) == c
+            assert canonical_code(tree_from_code(c)) == c
         assert len(codes) == otter_class_count(n)
 
 

@@ -62,7 +62,7 @@ def test_tau_enumeration_oracle():
     # all candidate sets, weights straight from the profile machinery
     from itertools import combinations
 
-    from expodom.graph import INF, bfs_distances_excluding
+    from expodom.graph import INF, bfs_distances
 
     g = fixture_f1(1)
     limit = exponential_domination_number(g).value
@@ -71,7 +71,7 @@ def test_tau_enumeration_oracle():
         for size in range(limit):
             for cand in combinations([v for v in range(g.n) if v != x], size):
                 prof = weight_profile(g, cand)
-                dist = bfs_distances_excluding(g, x, set(cand))
+                dist = bfs_distances(g, x, set(cand))
                 worst = Fraction(0)
                 ok = True
                 for u in range(g.n):

@@ -11,7 +11,6 @@ from expodom.graph import (
     ParseError,
     add_pendant_path,
     bfs_distances,
-    bfs_distances_excluding,
     connected_components,
     cycle,
     degree_partition,
@@ -100,7 +99,14 @@ def test_bfs_unreachable():
 
 def test_bfs_excluding_blocks():
     g = path(4)
-    assert bfs_distances_excluding(g, 3, {1}) == [INF, INF, 1, 0]
+    assert bfs_distances(g, 3, {1}) == [INF, INF, 1, 0]
+    # a blocked source still reads 0 and is searched from
+    assert bfs_distances(g, 1, {1, 3}) == [1, 0, 1, INF]
+    for blocked in ((), {1}):
+        with pytest.raises(ValueError):
+            bfs_distances(g, 4, blocked)
+        with pytest.raises(ValueError):
+            bfs_distances(g, -1, blocked)
 
 
 def test_diameter_examples():

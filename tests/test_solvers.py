@@ -206,6 +206,32 @@ def test_forced_vertex_bounds():
             assert gamma <= forced <= gamma + 1
 
 
+def _cover_search_matches_brute_force(g):
+    # per vertex x: the forced value, and the restricted value and first
+    # witness on V - N[x], the targets a forced cover of x leaves
+    for x in range(g.n):
+        targets = sorted(set(range(g.n)) - {x, *g.adj[x]})
+        forced, _ = brute_minimum(g, lambda h, c: x in c and is_dominating(h, c))
+        assert domination_with_forced_vertex(g, x) == forced
+        cert = restricted_domination_number(g, targets)
+        assert (cert.value, cert.witness) == brute_minimum(
+            g, lambda h, c: is_restricted_dominating(h, c, targets)
+        )
+
+
+def test_cover_search_matches_brute_force_on_trees():
+    for t in trees_up_to(9):
+        _cover_search_matches_brute_force(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=7))
+@example(Graph(0))
+@example(Graph(5, [(0, 1), (2, 3)]))
+def test_cover_search_matches_brute_force_on_graphs(g):
+    _cover_search_matches_brute_force(g)
+
+
 def test_tampered_witness_raises(monkeypatch):
     # a cover search or subset search that returns a non-dominating set
     bad = (1, (0,))
