@@ -13,7 +13,11 @@ by half per edge of the dominator-free graph, repairs every deficit left by
 some too-small candidate set (fewer vertices than the exponential domination
 number, not containing x).  It is always finite (see ``TauResult``); like
 the weights it reads, it is computed in integers scaled by 2**n and returned
-as a ``Fraction``.  Closing P_1 under the three operations generates exactly
+as a ``Fraction``.  A candidate set is evaluated exactly only when its
+porous weights, a lower bound on its value, leave it a chance to beat the
+best set so far; a skipped set could never have replaced the best under the
+strict ``<``, so value and witness are those of evaluating every set (see
+``tau``).  Closing P_1 under the three operations generates exactly
 the subcubic trees with gamma == gamma_e; ``recognize`` decides membership
 by exhaustive reverse search and returns a replayable trace.
 
@@ -50,7 +54,7 @@ from .solvers import (
     exponential_domination_number,
     restricted_domination_number,
 )
-from .weights import influence
+from .weights import influence, packed_fields, porous_rows
 
 
 class OperationNotApplicable(ValueError):
@@ -120,22 +124,55 @@ def _tau_of_set(g: Graph, x: int, dset: set) -> int | None:
 
 def tau(g: Graph, x: int) -> TauResult:
     """Minimum over all candidate sets (size below gamma_e, excluding x) of
-    the repair influence needed at x; the empty set is admissible."""
+    the repair influence needed at x; the empty set is admissible.
+
+    A set S is evaluated exactly only when a porous bound leaves it a chance
+    to beat the best value so far.  Blocked weight never exceeds porous
+    weight, and dist_{G-S}(x, u) >= dist_G(x, u), so S's value is at least
+    (1 - porous_S(u)) * 2**dist_G(x, u) at every vertex u reachable from x,
+    and S has no value when some u unreachable from x has porous weight
+    below 1.  A skipped set therefore has no value or one at or above the
+    best, and never replaces it under the strict ``<``: the sets are still
+    read in the same order, so both the value and the witness (the first
+    set to reach the minimum) are unchanged.  The test is one packed add
+    per dominator and one mask test (``weights.packed_fields``).
+    """
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     limit = _gamma_e_value(g)
     others = [v for v in range(g.n) if v != x]
+    one = 1 << g.n
+    dist_x = bfs_distances(g, x)
+    pack, top = packed_fields(g.n)
+    prow = [pack(row) for row in porous_rows(g)]
+
+    def bias_for(best: int | None) -> int:
+        """``top`` less the least porous weight at each vertex that lets a
+        set beat ``best``: (one - w) << d < best iff w >= one - ceil(best /
+        2**d) + 1, and an unreachable vertex needs weight one."""
+        least = [
+            one if d is INF
+            else 0 if best is None
+            else max(0, one + ((-best) >> d) + 1)
+            for d in dist_x
+        ]
+        return top - pack(least)
+
     best: int | None = None
     best_set: tuple[int, ...] = ()
+    bias = bias_for(best)
     for size in range(limit):
         for cand in combinations(others, size):
+            if sum(map(prow.__getitem__, cand), bias) & top != top:
+                continue
             value = _tau_of_set(g, x, set(cand))
             if value is not None and (best is None or value < best):
                 best = value
                 best_set = cand
+                bias = bias_for(best)
     if best is None:
         raise RuntimeError("tau found no finite candidate set")  # unreachable
-    return TauResult(Fraction(best, 1 << g.n), best_set)
+    return TauResult(Fraction(best, one), best_set)
 
 
 def _subcubic(g: Graph, key: bytes) -> bytes:
@@ -290,8 +327,9 @@ def recognize(g: Graph) -> OpTrace | None:
     return found[0] if found else None
 
 
-# Generation time grows about tenfold every two orders: 0.56 / 4.1 / 42.5 s
-# at 12 / 14 / 16 vertices, so order 20 would take about an hour.
+# Generation time grows about sevenfold every two orders: 0.27 / 0.96 / 6.0
+# / 51 s at 12 / 14 / 16 / 18 vertices (cold commands, medians of three, one
+# run at 18, on a shared 2-core host), so order 20 would take minutes.
 MAX_ORDER = 18
 
 

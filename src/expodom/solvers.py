@@ -21,25 +21,22 @@ All searches are exhaustive with pruning, never heuristic:
 Blocked weight never exceeds porous weight, so every exponential dominating
 set is porous dominating: it appears in the stream, and gamma_e_star <= gamma_e.
 
-The subset search packs each weight vector into one int, a field of
-``width = n + (2n).bit_length() + 1`` bits per vertex.  A field holds at
-most k dominators' weight, each at most 2 * 2**n, so it stays at or below
-n * 2**(n+1) < 2**(width-1) and no sum carries into the next field.  A
-node is pruned when some vertex cannot reach weight 1 even if every
-remaining pick gave it the most any later vertex can (``w + slots *
-suffix_max`` below 2**n in some field); since the suffix maxima are
-non-negative this is the same per-vertex inequality as testing the
-vertex's own weight first, so the search yields the same sets in the same
-order.  "Every field is at least 2**n" is one mask test: a bias of
-2**(width-1) - 2**n per field, itself below 2**(width-1), sets a field's
-top bit exactly when its weight is at least 2**n, and still carries into
-no other field.  Two tables per slot count s, built as each level opens,
-fold the bias in: ``reach[s][v]`` (child v's row plus s - 1 suffix
-maxima after it), so a child costs one add, one and and one compare, and
-``most[s][v]`` (s suffix maxima after v).  Every later child's ``reach``
-is at most ``most[s][v]`` field by field, so when child v fails and
-``w + most[s][v]`` fails too, the loop ends there: the exit skips only
-children that would fail their own prune.
+The subset search packs each weight vector into one int with
+``weights.packed_fields``: one field per vertex, wide enough that no sum of
+up to n rows carries into the next field.  A node is pruned when some
+vertex cannot reach weight 1 even if every remaining pick gave it the most
+any later vertex can (``w + slots * suffix_max`` below 2**n in some
+field); since the suffix maxima are non-negative this is the same
+per-vertex inequality as testing the vertex's own weight first, so the
+search yields the same sets in the same order.  "Every field is at least
+2**n" is one mask test against the fields' top bits, after a bias of
+2**(width-1) - 2**n per field.  Two tables per slot count s, built as each
+level opens, fold the bias in: ``reach[s][v]`` (child v's row plus s - 1
+suffix maxima after it), so a child costs one add, one and and one
+compare, and ``most[s][v]`` (s suffix maxima after v).  Every later
+child's ``reach`` is at most ``most[s][v]`` field by field, so when child
+v fails and ``w + most[s][v]`` fails too, the loop ends there: the exit
+skips only children that would fail their own prune.
 
 Witnesses are therefore always the lexicographically smallest optimum set,
 and every witness is re-checked against its own predicate, in the kernel's
@@ -58,6 +55,7 @@ from .weights import (
     is_exponential_dominating,
     is_porous_exponential_dominating,
     is_restricted_dominating,
+    packed_fields,
     porous_rows,
 )
 
@@ -197,15 +195,9 @@ def _porous_leaves(g: Graph):
     n = g.n
     if n == 0:  # the empty set dominates the empty graph
         yield 0, iter([()])
-    # Each weight vector is one int, vertex u's scaled weight in the field of
-    # bits [u * width, (u + 1) * width).  A field never exceeds
-    # k * 2**(n + 1) <= n * 2**(n + 1) < 2**(width - 1) (at most k dominators,
-    # each worth at most 2 * 2**n), so no sum below carries across a field.
-    width = n + (2 * n).bit_length() + 1
-
-    def pack(vector) -> int:
-        return sum(w << (u * width) for u, w in enumerate(vector))
-
+    # Each weight vector is one int, laid out by ``packed_fields``; the sums
+    # below add at most n rows, so none carries across a field.
+    pack, top = packed_fields(n)
     rows = porous_rows(g)
     prow = [pack(row) for row in rows]
     suffix_max = [0] * n
@@ -213,11 +205,8 @@ def _porous_leaves(g: Graph):
     for v in range(n - 1, -1, -1):
         suffix_max = [max(a, b) for a, b in zip(suffix_max, rows[v])]
         psuf[v] = pack(suffix_max)
-    # Field-wise "weight >= 2**n" as one mask test: ``bias`` adds
-    # 2**(width - 1) - 2**n to every field, so a biased field has its ``top``
-    # bit set exactly when its weight is at least 2**n.  Weight and bias are
-    # each below 2**(width - 1), so a biased field still carries into no other.
-    top = pack([1 << (width - 1)] * n)
+    # Field-wise "weight >= 2**n" as one mask test: a biased field has its
+    # ``top`` bit set exactly when its weight is at least 2**n.
     bias = top - pack([1 << n] * n)
     # Per slot count s, built as the stream opens level s and kept for the
     # deeper levels: reach[s][v] is what child v of a node with s slots adds

@@ -57,6 +57,26 @@ def porous_rows(g: Graph) -> list[list[int]]:
     return [influence(g, (v,), False) for v in range(g.n)]
 
 
+def packed_fields(n: int):
+    """``(pack, top)``: one int per weight vector of order n, and its mask.
+
+    ``pack`` puts vertex u's scaled weight in the field of bits
+    [u * width, (u + 1) * width), ``width = n + (2n).bit_length() + 1``.  A
+    sum of at most n rows never exceeds n * 2**(n + 1) < 2**(width - 1) in a
+    field (each dominator is worth at most 2 * 2**n), so no sum carries
+    across a field.  ``top`` holds each field's top bit, so "every field is
+    at least t_u" is one mask test: with the bias ``top - pack(t)`` for
+    thresholds 0 <= t_u < 2**(width - 1), a biased field has its top bit set
+    exactly when its weight is at least t_u, and still carries into no other.
+    """
+    width = n + (2 * n).bit_length() + 1
+
+    def pack(vector) -> int:
+        return sum(w << (u * width) for u, w in enumerate(vector))
+
+    return pack, pack([1 << (width - 1)] * n)
+
+
 def blocked_distance(g: Graph, dominators, u: int, v: int):
     """Length of a shortest u-v path whose only dominator is the endpoint v.
 

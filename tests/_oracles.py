@@ -9,7 +9,9 @@ the search but not the kernel.  The kernel has its own judge:
 ``influence_oracle`` sums each weight as a ``Fraction`` from the
 definition, and ``test_weights`` compares the two.  Past brute-force
 orders, ``milp_gamma_e_star`` judges gamma_e_star with an integer program
-solved in floating point and re-checked exactly.  The module also holds
+solved in floating point and re-checked exactly.  ``tau_brute`` is
+``family.tau`` without its porous-bound skip: it evaluates every candidate
+set, so it judges the skip.  The module also holds
 random graph generators with fixed seeds, a Hypothesis strategy for
 arbitrary graphs, two LP helpers only the tests use (the dual solved on
 its own, and a CPLEX LP export for external solvers), and the small tree
@@ -28,10 +30,12 @@ from hypothesis import strategies as st
 
 from expodom.canon import _centers
 from expodom.enumeration import _pruefer_adjacency, enumerate_subcubic_trees
+from expodom.family import TauResult, _tau_of_set
 from expodom.fixtures import fixture_f1
 from expodom.graph import Graph, NotTreeError, is_tree
 from expodom.lp import LpModel
 from expodom.simplex import SimplexSolution, solve_max_leq
+from expodom.solvers import exponential_domination_number
 from expodom.weights import (
     is_dominating,
     is_exponential_dominating,
@@ -88,6 +92,27 @@ def milp_gamma_e_star(g: Graph) -> int:
     chosen = tuple(v for v in range(n) if round(got.x[v]))
     assert is_porous_exponential_dominating(g, chosen)
     return len(chosen)
+
+
+def tau_brute(g: Graph, x: int) -> TauResult:
+    """``family.tau`` without its porous-bound skip: ``_tau_of_set`` on every
+    candidate set, sizes and subsets in lexicographic order, the first set
+    to reach the minimum kept as the witness."""
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range")
+    limit = exponential_domination_number(g).value
+    others = [v for v in range(g.n) if v != x]
+    best: int | None = None
+    best_set: tuple[int, ...] = ()
+    for size in range(limit):
+        for cand in combinations(others, size):
+            value = _tau_of_set(g, x, set(cand))
+            if value is not None and (best is None or value < best):
+                best = value
+                best_set = cand
+    if best is None:
+        raise RuntimeError("tau found no finite candidate set")  # unreachable
+    return TauResult(Fraction(best, 1 << g.n), best_set)
 
 
 def random_subcubic_graph(rng: random.Random, n_max: int = 10) -> Graph:

@@ -21,7 +21,7 @@ from expodom.family import (
     replay_trace,
     tau,
 )
-from expodom.fixtures import fixture_f1
+from expodom.fixtures import fixture_f1, fixture_f2
 from expodom.graph import (
     Graph,
     NotSubcubicError,
@@ -38,7 +38,8 @@ from expodom.solvers import (
 )
 from expodom.weights import weight_profile
 
-from _oracles import graphs, random_relabel, random_subcubic_graph
+from _oracles import graphs, random_relabel, random_subcubic_graph, tau_brute
+from test_pinned_values import _corpus
 
 
 def test_tau_single_vertex():
@@ -115,6 +116,52 @@ def test_tau_disconnected():
     got = tau(g, 0)
     assert got.value == 1
     assert got.witness == (1,)
+
+
+def _tau_matches_brute_force(g):
+    for x in range(g.n):
+        assert tau(g, x) == tau_brute(g, x), (g, x)
+
+
+def test_tau_matches_brute_force_on_trees():
+    # value and witness: the skipped sets never replace the best one
+    for g in trees_up_to(10):
+        _tau_matches_brute_force(g)
+
+
+def test_tau_matches_brute_force_on_random_graphs():
+    randoms = _corpus()[-40:]  # the seeded random graphs, cyclic and not
+    assert sum(len(connected_components(g)) > 1 for g in randoms) > 0
+    assert sum(len(g.edges()) >= g.n for g in randoms) > 0
+    for g in randoms:
+        _tau_matches_brute_force(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=8))
+@example(Graph(3))
+@example(cycle(5))
+def test_tau_matches_brute_force_on_graphs(g):
+    _tau_matches_brute_force(g)
+
+
+def test_tau_keeps_the_first_tied_witness():
+    # (2,) and (3,) both give 2; the lexicographically first set is kept
+    assert tau(Graph(4, [(0, 1), (2, 3)]), 0) == (2, (2,))
+
+
+@pytest.mark.parametrize(
+    "g, x, value, witness",
+    [
+        (path(24), 0, Fraction(1, 2), (2, 6, 10, 14, 18, 22)),
+        (path(24), 12, Fraction(1, 2), (1, 5, 9, 14, 18, 22)),
+        (fixture_f2(), 0, 4, (2, 3, 9, 10, 16)),
+        (fixture_f2(), 11, 2, (2, 3, 10, 16, 17)),
+    ],
+)
+def test_tau_pinned_past_the_brute_force_reach(g, x, value, witness):
+    # values taken from the unpruned loop, which needs seconds for each
+    assert tau(g, x) == (value, witness)
 
 
 def test_op1_examples():
