@@ -6,22 +6,18 @@ are isomorphic.  One iterative walk does all the work: a BFS from the center
 vertex's code ``(`` + its children's codes in sorted order + ``)``, built in
 reverse BFS order, so no depth of tree can exhaust the call stack.  The walk
 is also the tree check: it raises NotTreeError on any other graph.  It
-reads a bare adjacency sequence, so the enumerator and the Prufer oracle
-code their trees without building a ``Graph``.  ``tree_from_code`` is the
-inverse of ``canonical_code``: it numbers the tree a code spells in BFS
-order, children in code order, listing the ``Graph``'s edges in the same
-BFS, and is the one place a canonical representative is built:
+reads a bare adjacency sequence, so the Prufer oracle codes its trees
+without building a ``Graph``.  ``tree_from_code`` is the inverse of
+``canonical_code``: it numbers the tree a code spells in BFS order,
+children in code order, listing the ``Graph``'s edges in the same BFS, and
+is the one place a canonical representative is built:
 ``tree_from_code(canonical_code(g))``.  The centers are found inside the
 walk and are not exported.
 The same codes order every vertex's children for explicit isomorphism maps
-between trees, and their multiplicities give automorphism counts (used by
-the labeled-count enumeration oracle).
+between trees; ``enumeration`` reads automorphism counts off the codes.
 """
 
 from __future__ import annotations
-
-import math
-from collections import Counter
 
 from .graph import Graph, NotTreeError
 
@@ -107,14 +103,9 @@ def _center_walk(adj):
     return full, root, parent, code
 
 
-def _tree_code(adj) -> bytes:
-    """Canonical code of a tree given only as an adjacency sequence."""
-    return _center_walk(adj)[0]
-
-
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant code: equal codes iff isomorphic trees."""
-    return _tree_code(g.adj)
+    return _center_walk(g.adj)[0]
 
 
 def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
@@ -176,24 +167,3 @@ def tree_isomorphism_map(a: Graph, b: Graph):
     for i in range(a.n):
         mapping[order_a[i]] = order_b[i]
     return mapping
-
-
-def automorphism_count(g: Graph) -> int:
-    """Order of the automorphism group of a tree: the product, over every
-    vertex, of the factorials of the multiplicities of its children's codes,
-    doubled when the two halves of a two-center tree are alike."""
-    centers = _centers(g.adj)
-    parent, code = _walk(g.adj, centers)
-    count = 1
-    for u in range(g.n):
-        p = parent[u]
-        for k in Counter([code[v] for v in g.adj[u] if v != p]).values():
-            count *= math.factorial(k)
-    if len(centers) == 2 and code[centers[0]] == code[centers[1]]:
-        count *= 2
-    return count
-
-
-def labeled_copies(g: Graph) -> int:
-    """Number of distinct labeled trees isomorphic to ``g`` (n!/|Aut|)."""
-    return math.factorial(g.n) // automorphism_count(g)

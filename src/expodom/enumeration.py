@@ -40,7 +40,8 @@ the generator:
   deduplicates the resulting labeled trees by canonical code,
 * a counting oracle using the Prufer bijection: the number of labeled trees
   with all degrees <= 3 must equal the sum of n!/|Aut(T)| over the
-  enumerated isomorphism classes, and
+  enumerated classes, each |Aut(T)| read off T's code, so a code with
+  unsorted siblings would change the sum, and
 * Otter's dissimilarity theorem, which counts the classes from power series
   alone.
 """
@@ -52,7 +53,7 @@ from collections import Counter
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterator
 
-from .canon import _tree_code, labeled_copies, tree_from_code
+from .canon import _center_walk, tree_from_code
 from .graph import Graph
 
 # the largest tree order enumerated: 254,371 classes, composed in about
@@ -195,7 +196,7 @@ def pruefer_class_count(n: int) -> int:
         return 1
     seen: set[bytes] = set()
     for seq in _bounded_sequences(n, n - 2):
-        seen.add(_tree_code(_pruefer_adjacency(seq, n)))
+        seen.add(_center_walk(_pruefer_adjacency(seq, n))[0])
     return len(seen)
 
 
@@ -255,6 +256,34 @@ def otter_class_count(n: int) -> int:
     return rooted - (p2[n] - px2[n]) // 2
 
 
+def _automorphism_count(code: bytes) -> int:
+    """|Aut(T)| read off T's canonical code: m! for each run of m equal sibling
+    codes (sorted, so equal ones are adjacent), times 2 when the code is ``(``
+    + A + A[1:], A the root's first child: ``_compose``'s two alike sides."""
+    count, first = 1, b""
+    # per open vertex: [code start, last child's code, run of equal children]
+    stack = [[-1, b"", 0]]  # stands above the root
+    for i, ch in enumerate(code):
+        if ch == 40:  # "("
+            stack.append([i, b"", 0])
+            continue
+        start = stack.pop()[0]
+        child = code[start : i + 1]
+        parent = stack[-1]
+        parent[2] = parent[2] + 1 if child == parent[1] else 1
+        parent[1] = child
+        count *= parent[2]
+        if start == 1:
+            first = child
+    if code == b"(" + first + first[1:]:
+        count *= 2
+    return count
+
+
 def labeled_count_from_classes(n: int) -> int:
-    """Sum of n!/|Aut(T)| over the enumerated classes of order n."""
-    return sum(labeled_copies(t) for t in enumerate_subcubic_trees(n))
+    """Sum of n!/|Aut(T)| over the enumerated classes of order n, each
+    |Aut(T)| read off its code."""
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
+    copies = math.factorial(n)
+    return sum(copies // _automorphism_count(c) for c in _subcubic_trees_cached(n))

@@ -274,26 +274,19 @@ def replay_trace(trace: OpTrace) -> Graph:
 
 
 def _reverse_candidates(g: Graph):
-    """Peel-back candidates in deterministic order (op 1, then 2, then 3)."""
-    for y in range(g.n):
-        if g.degree(y) == 1:
-            yield 1, (y,), g.adj[y][0]
-    for z in range(g.n):
-        if g.degree(z) == 1:
-            y = g.adj[z][0]
-            if g.degree(y) == 2:
-                x = next(v for v in g.adj[y] if v != z)
-                yield 2, (y, z), x
-    for z in range(g.n):
-        if g.degree(z) == 1:
-            y = g.adj[z][0]
-            if g.degree(y) != 2:
-                continue
-            x = next(v for v in g.adj[y] if v != z)
-            if g.degree(x) != 2:
-                continue
-            w = next(v for v in g.adj[x] if v != y)
-            yield 3, (x, y, z), w
+    """Peel-back candidates in deterministic order: op 1, then 2, then 3,
+    each by leaf, from one pass over the leaves and a stable sort by op."""
+    found = []
+    for z in [v for v in range(g.n) if g.degree(v) == 1]:
+        y = g.adj[z][0]
+        found.append((1, (z,), y))
+        if g.degree(y) != 2:
+            continue
+        x = next(v for v in g.adj[y] if v != z)
+        found.append((2, (y, z), x))
+        if g.degree(x) == 2:
+            found.append((3, (x, y, z), next(v for v in g.adj[x] if v != y)))
+    return sorted(found, key=lambda c: c[0])
 
 
 def _peel(g: Graph):

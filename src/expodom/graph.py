@@ -216,8 +216,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def is_tree(g: Graph) -> bool:
-    connected = g.n >= 1 and len(connected_components(g)) == 1
-    return connected and g.edge_count() == g.n - 1
+    return g.n >= 1 and g.edge_count() == g.n - 1 and INF not in bfs_distances(g, 0)
 
 
 def is_subcubic_tree(g: Graph) -> bool:

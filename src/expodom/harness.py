@@ -23,14 +23,14 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, NamedTuple
+from itertools import chain, combinations
+from typing import Callable, Iterator, NamedTuple
 
-from .canon import canonical_code, tree_isomorphism_map
+from .canon import canonical_code, tree_from_code, tree_isomorphism_map
 from .enumeration import (
     MAX_ORDER,
+    _subcubic_trees_cached,
     count_subcubic_trees,
-    enumerate_subcubic_trees,
     labeled_count_from_classes,
     labeled_subcubic_tree_count,
     otter_class_count,
@@ -120,18 +120,12 @@ class Report:
         return json.dumps(self.to_json_obj())
 
 
-def _tree_corpus(n_max: int) -> list[Graph]:
-    return list(trees_up_to(n_max))
+def _tree_cycle_corpus(n_max: int) -> Iterator[Graph]:
+    return chain(trees_up_to(n_max), map(cycle, range(3, n_max + 1)))
 
 
-def _tree_cycle_corpus(n_max: int) -> list[Graph]:
-    graphs = _tree_corpus(n_max)
-    graphs.extend(cycle(k) for k in range(3, n_max + 1))
-    return graphs
-
-
-def _tree_f2_corpus(n_max: int) -> list[Graph]:
-    return _tree_corpus(n_max) + [fixture_f2()]
+def _tree_f2_corpus(n_max: int) -> Iterator[Graph]:
+    return chain(trees_up_to(n_max), [fixture_f2()])
 
 
 # -- per-instance checks (module level so worker processes can import them) --
@@ -333,7 +327,7 @@ def _mp_item(args):
     return check(g6, g)
 
 
-def _sweep(check: Callable, corpus: Callable = _tree_corpus) -> Callable:
+def _sweep(check: Callable, corpus: Callable = trees_up_to) -> Callable:
     """``check(g6, g)`` on each graph of ``corpus(n_max)``, the violations
     flattened."""
 
@@ -376,11 +370,10 @@ def _run_lemma2(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
     if n_max < 2:
         raise ValueError("lemma2 needs n_max >= 2")
     rng = random.Random(LEMMA2_SEED)
-    pools = {n: list(enumerate_subcubic_trees(n)) for n in range(2, n_max + 1)}
     flat = []
     for _ in range(LEMMA2_PAIRS):
         n = rng.randint(2, n_max)
-        t = rng.choice(pools[n])
+        t = tree_from_code(rng.choice(_subcubic_trees_cached(n)))
         drop = rng.randint(1, n - 1)
         sub = t
         for _ in range(drop):

@@ -16,19 +16,22 @@ random graph generators with fixed seeds, a Hypothesis strategy for
 arbitrary graphs, two LP helpers only the tests use (the dual solved on
 its own, and a CPLEX LP export for external solvers), and the small tree
 and fixture helpers that only the tests call: ``tree_centers``,
-``tree_from_pruefer``, ``relabel`` and three fixture witnesses.
+``tree_from_pruefer``, ``relabel`` and three fixture witnesses.  The tree
+walk ``automorphism_count`` (and ``labeled_copies``, n!/|Aut|) judges the
+enumerator's count read off each code.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
-from expodom.canon import _centers
+from expodom.canon import _centers, _walk
 from expodom.enumeration import _pruefer_adjacency, enumerate_subcubic_trees
 from expodom.family import TauResult, _tau_of_set
 from expodom.fixtures import fixture_f1
@@ -180,6 +183,27 @@ def tree_centers(g: Graph) -> list[int]:
     if not is_tree(g):
         raise NotTreeError("centers are defined for trees only")
     return _centers(g.adj)
+
+
+def automorphism_count(g: Graph) -> int:
+    """Order of the automorphism group of a tree: the product, over every
+    vertex, of the factorials of the multiplicities of its children's codes,
+    doubled when the two halves of a two-center tree are alike."""
+    centers = _centers(g.adj)
+    parent, code = _walk(g.adj, centers)
+    count = 1
+    for u in range(g.n):
+        p = parent[u]
+        for k in Counter([code[v] for v in g.adj[u] if v != p]).values():
+            count *= math.factorial(k)
+    if len(centers) == 2 and code[centers[0]] == code[centers[1]]:
+        count *= 2
+    return count
+
+
+def labeled_copies(g: Graph) -> int:
+    """Number of distinct labeled trees isomorphic to ``g`` (n!/|Aut|)."""
+    return math.factorial(g.n) // automorphism_count(g)
 
 
 def tree_from_pruefer(seq: tuple[int, ...], n: int) -> Graph:

@@ -2,6 +2,7 @@ import pytest
 
 from expodom.canon import canonical_code, tree_from_code
 from expodom.enumeration import (
+    _automorphism_count,
     _subcubic_trees_cached,
     count_subcubic_trees,
     enumerate_subcubic_trees,
@@ -12,7 +13,7 @@ from expodom.enumeration import (
 )
 from expodom.graph import is_subcubic_tree, is_tree, path, star
 
-from _oracles import tree_from_pruefer
+from _oracles import automorphism_count, tree_from_pruefer
 
 
 def test_smallest_orders():
@@ -40,6 +41,18 @@ def test_counts_match_literal_oracle_small():
 def test_counts_match_labeled_identity():
     for n in range(1, 11):
         assert labeled_count_from_classes(n) == labeled_subcubic_tree_count(n)
+
+
+def test_automorphism_counts_read_off_codes_match_the_walk():
+    # every class of orders 1-16: one pass over the code against the walk
+    # over the built tree, which brute force and networkx judge in test_canon
+    classes = 0
+    for n in range(1, 17):
+        for code in _subcubic_trees_cached(n):
+            want = automorphism_count(tree_from_code(code))
+            assert _automorphism_count(code) == want, code
+            classes += 1
+    assert classes == 4643
 
 
 # OEIS A000672: trees with maximum degree at most 3, orders 1..22

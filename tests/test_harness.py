@@ -1,10 +1,15 @@
 import json
+import sys
 
 import pytest
 
 import expodom
-from expodom import graph6, harness, solvers, weights
+from expodom import canon, graph6, harness, solvers, weights
 from expodom.canon import canonical_code, tree_from_code
+from expodom.enumeration import (
+    labeled_count_from_classes,
+    labeled_subcubic_tree_count,
+)
 from expodom.fixtures import fixture_f1, fixture_f2
 from expodom.graph import Graph, path, star
 from expodom.graph6 import emit_graph6, parse_graph6
@@ -177,6 +182,36 @@ def test_conjecture2_reports_a_planted_equality_at_order_10(monkeypatch):
 def test_lemma2_runs_fixed_pair_count():
     report = run_suite("lemma2", 6)
     assert report.checked == 500
+
+
+def _spy_tree_builds(monkeypatch) -> list[bytes]:
+    """Patch every package binding of ``tree_from_code`` with a spy; the
+    returned list collects the code of each tree built."""
+    real = canon.tree_from_code
+    built: list[bytes] = []
+
+    def spy(code):
+        built.append(code)
+        return real(code)
+
+    for name, module in list(sys.modules.items()):
+        in_package = name == "expodom" or name.startswith("expodom.")
+        if in_package and getattr(module, "tree_from_code", None) is real:
+            monkeypatch.setattr(module, "tree_from_code", spy)
+    return built
+
+
+def test_labeled_count_builds_no_tree(monkeypatch):
+    built = _spy_tree_builds(monkeypatch)
+    assert labeled_count_from_classes(12) == labeled_subcubic_tree_count(12)
+    assert built == []
+
+
+def test_lemma2_builds_only_the_drawn_trees(monkeypatch):
+    built = _spy_tree_builds(monkeypatch)
+    report = run_suite("lemma2", 14)
+    assert report.passed and report.checked == 500
+    assert 0 < len(built) <= 500
 
 
 def test_enumcount_reports_an_otter_mismatch(monkeypatch):
