@@ -21,10 +21,21 @@ strict ``<``, so value and witness are those of evaluating every set (see
 the subcubic trees with gamma == gamma_e; ``recognize`` decides membership
 by exhaustive reverse search and returns a replayable trace.
 
+The guards run no search.  They read two DPs rooted at the guarded vertex,
+exact on trees: the classical tree DP (``solvers.tree_domination``) gives
+gamma, domination with x forced and restricted domination of V - {x} from
+one run, and the blocked exponential DP (``_blocked_dp``) gives gamma_e and
+tau(x).  Every value a guard reads is backed by a witness re-checked in
+explicit code.  ``tau`` keeps its enumeration for the ``tau`` command's
+witness (the first set in enumeration order to reach the minimum) and for
+graphs with cycles; with the searches, it judges the DPs in the tests.
+
 Every verdict is memoized under a canonical code, so isomorphic copies share
 it: a guard at x walks ``rooted_code(g, x)`` once, and that key is also the
 tree check, since the canon walk raises NotTreeError on any other graph.
-One helper, ``_memo``, fills and reads all six tables.
+``_memo`` fills ``_TAU``, ``_GAMMA_E`` (read only by ``tau``) and
+``_RECOGNIZE``; one classical DP run fills ``_GAMMA``, ``_FORCED`` and
+``_RESTRICTED`` together, under the guard's rooted code.
 """
 
 from __future__ import annotations
@@ -47,14 +58,15 @@ from .graph import (
     add_pendant_path,
     bfs_distances,
     delete_vertices,
+    rooted_tree,
 )
-from .solvers import (
-    domination_number,
-    domination_with_forced_vertex,
-    exponential_domination_number,
-    restricted_domination_number,
+from .solvers import _certify, exponential_domination_number, tree_domination
+from .weights import (
+    influence,
+    is_exponential_dominating,
+    packed_fields,
+    porous_rows,
 )
-from .weights import influence, packed_fields, porous_rows
 
 
 class OperationNotApplicable(ValueError):
@@ -77,9 +89,10 @@ class TauResult(NamedTuple):
 
 
 # caches are keyed by canonical codes, so entries are shared between all
-# isomorphic copies; verdicts are deterministic, making races benign
+# isomorphic copies; verdicts are deterministic, making races benign.  The
+# guards' tables are keyed by the rooted code of (tree, guarded vertex).
 _GAMMA: dict[bytes, int] = {}
-_GAMMA_E: dict[bytes, int] = {}
+_GAMMA_E: dict[bytes, int] = {}  # filled by tau() alone: the guards call no tau()
 _FORCED: dict[bytes, int] = {}
 _RESTRICTED: dict[bytes, int] = {}
 _TAU: dict[bytes, Fraction] = {}
@@ -91,10 +104,6 @@ def _memo(table: dict, key: bytes, compute):
     if key not in table:
         table[key] = compute()
     return table[key]
-
-
-def _gamma_value(g: Graph) -> int:
-    return _memo(_GAMMA, canonical_code(g), lambda: domination_number(g).value)
 
 
 def _gamma_e_value(g: Graph) -> int:
@@ -183,13 +192,103 @@ def _subcubic(g: Graph, key: bytes) -> bytes:
     return key
 
 
+def _frontier(states: list) -> list:
+    """The states (k, p, q, mask) that no other state matches or beats in
+    all of k, p and q, lower being better in each; of equal ones, the one
+    with the least mask is kept."""
+    kept: list = []
+    for s in sorted(states):
+        _, p, q, _ = s
+        for t in kept:
+            if t[1] <= p and t[2] <= q:
+                break
+        else:
+            kept.append(s)
+    return kept
+
+
+def _vertex_states(v: int, below: list, one: int):
+    """v's subtree states from its children's frontiers ``below``: those
+    with v outside D, and the cheapest with v in D.
+
+    A state (k, need, -out, mask) is a choice of k dominators (the mask)
+    that leaves the subtree dominated once v receives ``need`` from
+    outside, and sends ``out`` up, in units where weight 1 is ``one``.  With
+    v outside D, children are combined through (k, M, -T, mask), T the sum
+    of their outs and M the largest 2 * need_i + out_i (at least ``one``,
+    which v itself needs): need = max(0, M - T), out = T / 2.  With v in D,
+    v blocks everything: need = 0, out = ``one``, and each child, which
+    receives exactly ``one`` from v, takes its cheapest state with need_i at
+    most ``one``."""
+    partial = [(0, one, 0, 0)]
+    k_in, mask_in = 1, 1 << v
+    for states in below:
+        partial = _frontier([
+            (k + kc, max(m, 2 * need - neg_out), neg_t + neg_out, mask | mc)
+            for k, m, neg_t, mask in partial
+            for kc, need, neg_out, mc in states
+        ])
+        kc, _, _, mc = min(s for s in states if s[1] <= one)
+        k_in += kc
+        mask_in |= mc
+    free = [(k, max(0, m + neg_t), neg_t // 2, mask) for k, m, neg_t, mask in partial]
+    return free, (k_in, 0, -one, mask_in)
+
+
+def _blocked_dp(g: Graph, x: int) -> tuple[int, Fraction]:
+    """gamma_e of the tree g and ``tau(g, x).value``, from one blocked tree
+    DP rooted at x (``_vertex_states``), weight 1 scaled to 2**(n+1).
+
+    gamma_e is the least k at the root with need 0.  Influence injected at x
+    and halved per edge of G - D is exactly what the root receives from
+    outside, so tau(x) is the least need over the root's states with x
+    outside D and k below gamma_e; a deficit behind a dominator has no
+    finite repair, and the dominator's filter on need drops it.  Both come
+    with a witness, checked here: the gamma_e set has gamma_e vertices and
+    dominates exponentially, and ``_tau_of_set`` of the tau set, a set of k
+    vertices without x, is exactly its need.  Raises NotTreeError unless g
+    is a tree."""
+    order, children = rooted_tree(g, x)
+    one = 1 << (g.n + 1)
+    fronts: list = [None] * g.n
+    for v in reversed(order):
+        free, held = _vertex_states(v, [fronts[u] for u in children[v]], one)
+        fronts[v] = _frontier(free + [held])
+    gamma_e, mask = min((k, m) for k, need, _, m in free + [held] if need == 0)
+    witness = [v for v in range(g.n) if mask >> v & 1]
+    _certify(
+        len(witness) == gamma_e and is_exponential_dominating(g, witness),
+        "gamma_e tree witness is not an exponential dominating set of its size",
+    )
+    need, k, mask = min((s[1], s[0], s[3]) for s in free if s[0] < gamma_e)
+    cand = {v for v in range(g.n) if mask >> v & 1}
+    value = None if x in cand or len(cand) != k else _tau_of_set(g, x, cand)
+    _certify(
+        value is not None and 2 * value == need,
+        "tau tree witness does not repay its need",
+    )
+    return gamma_e, Fraction(need, one)
+
+
+def _domination(g: Graph, x: int, key: bytes) -> tuple[int, int, int]:
+    """gamma, forced(x) and restricted(V - {x}) from one classical tree DP
+    rooted at x (``solvers.tree_domination``), memoized together under the
+    rooted code ``key``."""
+    if key not in _FORCED:
+        gamma, forced, restricted = tree_domination(g, x)
+        _GAMMA[key] = gamma.value
+        _RESTRICTED[key] = restricted.value
+        _FORCED[key] = forced.value
+    return _GAMMA[key], _FORCED[key], _RESTRICTED[key]
+
+
 def op1_applicable(g: Graph, x: int) -> bool:
     """Leaf attachment at x: x must lie in some minimum dominating set."""
     key = _subcubic(g, rooted_code(g, x))
     if g.degree(x) >= 3:
         return False
-    forced = _memo(_FORCED, key, lambda: domination_with_forced_vertex(g, x))
-    return forced == _gamma_value(g)
+    gamma, forced, _ = _domination(g, x, key)
+    return forced == gamma
 
 
 def op2_applicable(g: Graph, x: int) -> bool:
@@ -197,13 +296,10 @@ def op2_applicable(g: Graph, x: int) -> bool:
     key = _subcubic(g, rooted_code(g, x))
     if g.degree(x) >= 3:
         return False
-    if _memo(_TAU, key, lambda: tau(g, x).value) > 1:
+    if _memo(_TAU, key, lambda: _blocked_dp(g, x)[1]) > 1:
         return True
-    targets = [v for v in range(g.n) if v != x]
-    restricted = _memo(
-        _RESTRICTED, key, lambda: restricted_domination_number(g, targets).value
-    )
-    return restricted < _gamma_value(g)
+    gamma, _, restricted = _domination(g, x, key)
+    return restricted < gamma
 
 
 def op3_applicable(g: Graph, w: int) -> bool:
@@ -211,7 +307,7 @@ def op3_applicable(g: Graph, w: int) -> bool:
     key = _subcubic(g, rooted_code(g, w))
     if g.degree(w) >= 3:
         return False
-    return _memo(_TAU, key, lambda: tau(g, w).value) > Fraction(1, 2)
+    return _memo(_TAU, key, lambda: _blocked_dp(g, w)[1]) > Fraction(1, 2)
 
 
 _APPLICABLE = {1: op1_applicable, 2: op2_applicable, 3: op3_applicable}
@@ -320,9 +416,10 @@ def recognize(g: Graph) -> OpTrace | None:
     return found[0] if found else None
 
 
-# Generation time grows about sevenfold every two orders: 0.27 / 0.96 / 6.0
-# / 51 s at 12 / 14 / 16 / 18 vertices (cold commands, medians of three, one
-# run at 18, on a shared 2-core host), so order 20 would take minutes.
+# Generation time grows about fourfold every two orders: 0.22 / 0.59 / 2.4
+# / 8.1 s at 12 / 14 / 16 / 18 vertices (cold commands, medians of three, on
+# a shared 2-core host); order 20, with this limit lifted, took 34 s and
+# 61 MB in-process for its 13,732 members.
 MAX_ORDER = 18
 
 

@@ -219,6 +219,17 @@ def is_tree(g: Graph) -> bool:
     return g.n >= 1 and g.edge_count() == g.n - 1 and INF not in bfs_distances(g, 0)
 
 
+def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]]]:
+    """The tree g hung from ``root``: its vertices in BFS order and each
+    vertex's children, read off one ``bfs_distances``.  Raises NotTreeError
+    unless g is a tree."""
+    dist = bfs_distances(g, root)
+    if g.edge_count() != g.n - 1 or INF in dist:
+        raise NotTreeError("not a tree")
+    order = sorted(range(g.n), key=dist.__getitem__)
+    return order, [[u for u in g.adj[v] if dist[u] > dist[v]] for v in range(g.n)]
+
+
 def is_subcubic_tree(g: Graph) -> bool:
     return is_tree(g) and g.max_degree() <= 3
 

@@ -1,0 +1,151 @@
+"""The two rooted tree DPs that the family guards read, judged against the
+searches, brute force and ``family.tau``."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from expodom import family, solvers
+from expodom.canon import canonical_code
+from expodom.enumeration import trees_up_to
+from expodom.family import _blocked_dp, generate_family, tau
+from expodom.graph import CertificateError, NotTreeError, cycle, path, rooted_tree
+from expodom.solvers import (
+    domination_number,
+    domination_with_forced_vertex,
+    exponential_domination_number,
+    restricted_domination_number,
+    tree_domination,
+)
+from expodom.weights import is_dominating, is_restricted_dominating
+
+from _oracles import (
+    brute_gamma,
+    brute_gamma_e,
+    brute_minimum,
+    random_subcubic_tree,
+    tau_brute,
+)
+
+
+def _searched(g, x):
+    """gamma_e, tau, gamma, forced and restricted at x from the searches."""
+    others = [v for v in range(g.n) if v != x]
+    return (
+        exponential_domination_number(g).value,
+        tau(g, x).value,
+        domination_number(g).value,
+        domination_with_forced_vertex(g, x),
+        restricted_domination_number(g, others).value,
+    )
+
+
+def _from_dps(g, x):
+    gamma, forced, restricted = tree_domination(g, x)
+    return (*_blocked_dp(g, x), gamma.value, forced.value, restricted.value)
+
+
+def _mismatches(trees):
+    """(tree, x) pairs where the DPs and the searches disagree, a DP
+    certificate failure counting as a disagreement; and the pairs tried."""
+    bad, pairs = [], 0
+    for g in trees:
+        for x in range(g.n):
+            pairs += 1
+            try:
+                got = _from_dps(g, x)
+            except CertificateError:
+                got = None
+            if got != _searched(g, x):
+                bad.append((g, x))
+    return bad, pairs
+
+
+def test_dps_match_the_searches_at_every_vertex_to_order_11():
+    bad, pairs = _mismatches(trees_up_to(11))
+    assert pairs == 1436
+    assert bad == []
+
+
+def test_classical_dp_matches_brute_force_to_order_9():
+    for g in trees_up_to(9):
+        gamma = brute_gamma(g)
+        for x in range(g.n):
+            others = [v for v in range(g.n) if v != x]
+            forced = brute_minimum(g, lambda g, d: x in d and is_dominating(g, d))
+            restricted = brute_minimum(
+                g, lambda g, d: is_restricted_dominating(g, d, others)
+            )
+            got = tree_domination(g, x)
+            assert [c.value for c in got] == [gamma, forced[0], restricted[0]]
+
+
+def test_blocked_dp_matches_brute_force_to_order_10():
+    for g in trees_up_to(10):
+        gamma_e = brute_gamma_e(g) if g.n <= 8 else None
+        for x in range(g.n):
+            got_gamma_e, got_tau = _blocked_dp(g, x)
+            assert got_tau == tau_brute(g, x).value
+            assert gamma_e in (None, got_gamma_e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32), st.data())
+def test_dps_match_the_searches_on_random_trees(n, seed, data):
+    g = random_subcubic_tree(random.Random(seed), n)
+    x = data.draw(st.integers(0, n - 1))
+    assert _from_dps(g, x) == _searched(g, x)
+
+
+def test_a_halved_out_fails_the_judge(monkeypatch):
+    # a wrong recurrence: what a free vertex sends up halved twice
+    real = family._vertex_states
+
+    def halved_twice(v, below, one):
+        free, held = real(v, below, one)
+        return [(k, need, neg_out // 2, m) for k, need, neg_out, m in free], held
+
+    monkeypatch.setattr(family, "_vertex_states", halved_twice)
+    bad, _ = _mismatches(trees_up_to(7))
+    assert bad
+
+
+@pytest.mark.parametrize("dp", [tree_domination, _blocked_dp])
+def test_a_forged_witness_raises(monkeypatch, dp):
+    # the DP sees path(4) without its last vertex, so its witness leaves
+    # vertex 3 undominated and the re-check against the whole tree fails
+    def short(g, root):
+        order, children = rooted_tree(g, root)
+        return order, [[u for u in kids if u != 3] for kids in children]
+
+    monkeypatch.setattr(solvers, "rooted_tree", short)
+    monkeypatch.setattr(family, "rooted_tree", short)
+    with pytest.raises(CertificateError):
+        dp(path(4), 0)
+
+
+@pytest.mark.parametrize("dp", [tree_domination, _blocked_dp])
+def test_dps_need_a_tree(dp):
+    with pytest.raises(NotTreeError):
+        dp(cycle(4), 0)
+
+
+def test_generation_reads_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a guard ran an exhaustive search")
+
+    with monkeypatch.context() as m:
+        for name in ("_min_cover", "_porous_leaves"):
+            m.setattr(solvers, name, refuse)
+        m.setattr(family, "tau", refuse)
+        # fresh tables, so no verdict comes from an earlier test's memo
+        for table in ("_GAMMA", "_FORCED", "_RESTRICTED", "_TAU"):
+            m.setattr(family, table, {})
+        members = {canonical_code(t) for t in generate_family(10)}
+    # Theorem 1, read off the searches
+    assert members == {
+        canonical_code(t)
+        for t in trees_up_to(10)
+        if domination_number(t).value == exponential_domination_number(t).value
+    }
