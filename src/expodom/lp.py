@@ -5,6 +5,12 @@ for every vertex v, sum over u of (1/2)**(dist(u,v)-1) * x(u) >= 1 with
 x binary.  Dropping integrality gives the fractional porous exponential
 domination number; this module builds that LP, solves it exactly, and also
 evaluates the closed-form certificates and lower bounds attached to it.
+
+The LP has one source, ``_integer_rows``: the influence kernel's rows and
+the right-hand side 2**n, divided by their common power of two.  The value
+route hands those ints to the simplex, which uses integer input as it is;
+``build_porous_lp`` is their ``Fraction`` view, the same LP with every
+entry over the right-hand side.
 """
 
 from __future__ import annotations
@@ -20,7 +26,11 @@ from .weights import porous_rows
 
 
 class LpModel(NamedTuple):
-    """min sum(x) s.t. matrix . x >= rhs, x >= 0."""
+    """min sum(x) s.t. matrix . x >= rhs, x >= 0.
+
+    ``build_porous_lp`` gives ``Fraction`` entries; ``solve_exact`` takes
+    ints as well, and the value route passes the LP in ints.
+    """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
@@ -38,14 +48,29 @@ class LpSolution(NamedTuple):
     objective: Fraction | None
 
 
+def _integer_rows(g: Graph) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``porous_rows(g)`` and 2**n, divided by their greatest common divisor
+    (a power of two: 2**(n + 1 - diameter) on a connected graph with an
+    edge).
+
+    These are the rows and right-hand side the simplex would build from
+    ``build_porous_lp``'s fractions, the tableau over the lcm of their
+    denominators, without building the fractions.
+    """
+    rows = porous_rows(g)
+    k = math.gcd(1 << g.n, *(w for row in rows for w in row))
+    return tuple(tuple(w // k for w in row) for row in rows), (1 << g.n) // k
+
+
 def build_porous_lp(g: Graph) -> LpModel:
     """One covering row per vertex; unreachable pairs contribute nothing.
 
-    The entries are the influence kernel's scaled integers over 2**n.
+    The ``Fraction`` view of ``_integer_rows``: each entry over the
+    right-hand side, so every row covers 1.
     """
-    scale = 1 << g.n
-    matrix = tuple(tuple(Fraction(w, scale) for w in row) for row in porous_rows(g))
-    ones = tuple(Fraction(1) for _ in range(g.n))
+    rows, rhs = _integer_rows(g)
+    matrix = tuple(tuple(Fraction(w, rhs) for w in row) for row in rows)
+    ones = (Fraction(1),) * g.n
     return LpModel(matrix, ones, ones)
 
 
@@ -70,8 +95,14 @@ LP_ORDER_LIMIT = 100
 
 @lru_cache(maxsize=4096)
 def fractional_porous_number(g: Graph) -> Fraction:
-    """Optimum of the porous LP relaxation; always attained and rational."""
-    sol = solve_exact(build_porous_lp(g))
+    """Optimum of the porous LP relaxation; always attained and rational.
+
+    Solves and certifies the LP in ints, ``_integer_rows`` with the
+    right-hand side repeated: the same optimum as ``build_porous_lp(g)``,
+    with the duals of the integer rows.
+    """
+    rows, rhs = _integer_rows(g)
+    sol = solve_exact(LpModel(rows, (rhs,) * g.n, (1,) * g.n))
     if sol.status != "optimal":  # feasible by x == 1, bounded below by 0
         raise RuntimeError(f"porous LP unexpectedly {sol.status}")
     return sol.objective

@@ -1,21 +1,33 @@
 """Two-phase primal simplex over exact rationals, fraction-free.
 
 Solves min c.x subject to A x >= b, x >= 0 with b >= 0.  The tableau holds
-Python ints over one common denominator ``den``, the previous pivot
-(integer-preserving elimination, Bareiss 1968).  A pivot on p = T[r][c]
-keeps row r and replaces every other row i, the objective row included, by
-(p*T[i] - T[i][c]*T[r]) // den; then den becomes p.  By Sylvester's identity
-every entry is a minor of the starting tableau, so the division is exact,
-and every row holds den in its basic column, so T[i][j] / den is the entry
-of the usual normalized tableau.  No gcd runs inside the pivot loop.
+Python ints (integer-preserving elimination, Bareiss 1968).  Over one
+common denominator ``den``, the previous pivot, a pivot on p = T[r][c] keeps
+row r and replaces every other row i, the objective row included, by
+(p*T[i] - T[i][c]*T[r]) // den; then den becomes p.  By Sylvester's
+identity every entry is a minor of the starting tableau, so the division is
+exact, and T[i][j] / den is the entry of the usual normalized tableau.  No
+gcd runs inside the pivot loop.
 
-The inputs become integers by one uniform scaling: A and b by the lcm L of
-their denominators, c by the lcm M of its denominators.  A positive uniform
-scaling keeps the sign of every reduced cost and the order of every ratio,
-so the pivots, the final basis and the returned values are those of the
-same simplex run in ``fractions.Fraction``.  Bland's anti-cycling rule is
-used throughout: the covering LPs solved here are heavily degenerate (many
-constraints tight at the optimum), so cycling protection is not optional.
+Rows are rescaled lazily.  Row i is stored as S[i] over its own denominator
+dens[i], the pivot that last changed it, and T[i] = S[i] * den / dens[i].
+A pivot leaves a row whose pivot-column entry is 0 as it is, and writes a
+changed row as (p*S[i] - S[i][c]*T[r]) // dens[i], which equals
+(p*T[i] - T[i][c]*T[r]) // den.  The deferred factor is positive, so the
+sign tests, the ratio test (both terms of a ratio come from one row),
+Bland's tie-break and the drive-out's zero test read stored rows as they
+are, and x is S[i][-1] / dens[i].  A row is brought to den only where it
+pivots or where phase 2 builds its objective from it; the objective row is
+always kept over den.
+
+Integer input is used as it is.  Otherwise the inputs become integers by
+one uniform scaling: A and b by the lcm L of their denominators, c by the
+lcm M of its denominators.  A positive uniform scaling keeps the sign of
+every reduced cost and the order of every ratio, so the pivots, the final
+basis and the returned values are those of the same simplex run in
+``fractions.Fraction``.  Bland's anti-cycling rule is used throughout: the
+covering LPs solved here are heavily degenerate (many constraints tight at
+the optimum), so cycling protection is not optional.
 
 Dual values are read off the final tableau: the reduced cost of the i-th
 surplus column is the i-th dual multiplier of the scaled LP, which is M/L
@@ -26,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .graph import CertificateError
 
@@ -53,22 +66,43 @@ def _rationals(values):
 
 
 def _scaled(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over the lcm of their denominators."""
+    """Rationals as integer numerators over the lcm of their denominators;
+    ints come back as they are, over 1."""
     values = _rationals(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
     k = math.lcm(*(q.denominator for q in values))
     return [q.numerator * (k // q.denominator) for q in values], k
 
 
 def _scaled_rows(a, b) -> tuple[list[list[int]], int]:
-    """Rows ``a[i] + [b[i]]`` as integers over one common denominator."""
-    rows = [_rationals([*row, bi]) for row, bi in zip(a, b)]
+    """Rows ``a[i] + [b[i]]`` as integers over one common denominator; rows
+    of ints come back as they are, over 1."""
+    rows = [[*row, bi] for row, bi in zip(a, b)]
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows, 1
+    rows = [_rationals(row) for row in rows]
     k = math.lcm(*(q.denominator for row in rows for q in row))
     return [[q.numerator * (k // q.denominator) for q in row] for row in rows], k
 
 
-def _pivot(tab, obj, basis, den, pr, pc) -> int:
-    """Integer-preserving pivot on (pr, pc); returns the new denominator."""
-    row = tab[pr]
+def _current(tab, dens, i) -> list[int]:
+    """Row i brought over the common denominator ``dens[-1]``."""
+    den = dens[-1]
+    if dens[i] != den:
+        tab[i] = [v * den // dens[i] for v in tab[i]]
+        dens[i] = den
+    return tab[i]
+
+
+def _pivot(tab, obj, basis, dens, pr, pc) -> None:
+    """Integer-preserving pivot on (pr, pc).
+
+    ``dens[i]`` is the denominator row i is stored over, and ``dens[-1]``
+    the common one, over which ``obj`` is kept; the pivot makes it p.
+    """
+    den = dens[-1]
+    row = _current(tab, dens, pr)
     p = row[pc]
     if p < 0:
         # Only the drive-out of a zero-level artificial pivots on a negative
@@ -78,28 +112,25 @@ def _pivot(tab, obj, basis, den, pr, pc) -> int:
         tab[pr] = row
         p = -p
     for i, other in enumerate(tab):
-        if i != pr:
-            tab[i] = _combine(other, row, p, den, pc)
-    obj[:] = _combine(obj, row, p, den, pc)
-    basis[pr] = pc
-    return p
-
-
-def _combine(other, row, p, den, pc):
-    """Row ``other`` after the pivot on entry p = row[pc]."""
-    f = other[pc]
+        f = other[pc]
+        if f and i != pr:
+            d = dens[i]
+            tab[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
+            dens[i] = p
+    f = obj[pc]
     if f:
-        return [(p * a - f * b) // den for a, b in zip(other, row)]
-    if p == den:
-        return other
-    return [p * a // den for a in other]
+        obj[:] = [(p * a - f * b) // den for a, b in zip(obj, row)]
+    elif p != den:  # only a drive-out pivot meets obj[pc] == 0
+        obj[:] = [p * a // den for a in obj]
+    dens[pr] = dens[-1] = p
+    basis[pr] = pc
 
 
-def _run(tab, obj, basis, den, enterable) -> tuple[str, int]:
+def _run(tab, obj, basis, dens, enterable) -> str:
     """Pivot until optimal or unbounded; Bland's rule on both choices.
 
-    Ratios row[-1] / row[enter] share the factor 1/den, so the ratio test
-    compares them by cross-multiplying the integer entries.
+    Ratios row[-1] / row[enter] do not depend on the row's denominator, so
+    the ratio test compares them by cross-multiplying the stored entries.
     """
     while True:
         enter = -1
@@ -108,7 +139,7 @@ def _run(tab, obj, basis, den, enterable) -> tuple[str, int]:
                 enter = j
                 break
         if enter < 0:
-            return "optimal", den
+            return "optimal"
         leave = -1
         for i, row in enumerate(tab):
             coef = row[enter]
@@ -121,8 +152,17 @@ def _run(tab, obj, basis, den, enterable) -> tuple[str, int]:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_rhs, best_coef = i, row[-1], coef
         if leave < 0:
-            return "unbounded", den
-        den = _pivot(tab, obj, basis, den, leave, enter)
+            return "unbounded"
+        _pivot(tab, obj, basis, dens, leave, enter)
+
+
+def _primal(tab, basis, dens, n) -> list[Fraction]:
+    """x off the final tableau: basic variable i is S[i][-1] / dens[i]."""
+    x = [ZERO] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = Fraction(tab[i][-1], dens[i])
+    return x
 
 
 def _check_dimensions(a, b, c) -> None:
@@ -138,6 +178,8 @@ def solve_min_geq(a, b, c) -> SimplexSolution:
     m = len(a)
     n = len(c)
     if m == 0:
+        if any(v < 0 for v in c):
+            return SimplexSolution("unbounded")
         return SimplexSolution("optimal", [ZERO] * n, [], ZERO)
 
     # columns: n structural, m surplus, then the rhs.  The m artificial
@@ -147,11 +189,11 @@ def solve_min_geq(a, b, c) -> SimplexSolution:
         row[n:n] = [0] * m
         row[n + i] = -1
     basis = [n + m + i for i in range(m)]
-    den = 1
+    dens = [1] * (m + 1)
 
     # phase 1: drive the artificial variables to zero
     obj = [-sum(col) for col in zip(*tab)]
-    status, den = _run(tab, obj, basis, den, range(n + m))
+    status = _run(tab, obj, basis, dens, range(n + m))
     if status != "optimal" or obj[-1] != 0:
         return SimplexSolution("infeasible")
 
@@ -160,25 +202,23 @@ def solve_min_geq(a, b, c) -> SimplexSolution:
         if basis[i] >= n + m:
             for j in range(n + m):
                 if tab[i][j] != 0:
-                    den = _pivot(tab, obj, basis, den, i, j)
+                    _pivot(tab, obj, basis, dens, i, j)
                     break
             # a fully-zero row is redundant; its artificial stays basic at 0
 
     # phase 2: true objective, artificial columns barred from entering
     cost, big_m = _scaled(c)
-    obj = [den * v for v in cost] + [0] * (m + 1)
+    obj = [dens[-1] * v for v in cost] + [0] * (m + 1)
     for i, bi in enumerate(basis):
         f = cost[bi] if bi < n else 0
         if f:
-            obj = [o - f * t for o, t in zip(obj, tab[i])]
-    status, den = _run(tab, obj, basis, den, range(n + m))
+            obj = [o - f * t for o, t in zip(obj, _current(tab, dens, i))]
+    status = _run(tab, obj, basis, dens, range(n + m))
     if status != "optimal":
         return SimplexSolution(status)
 
-    x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(tab[i][-1], den)
+    x = _primal(tab, basis, dens, n)
+    den = dens[-1]
     y = [Fraction(obj[n + i] * big_l, den * big_m) for i in range(m)]
     return SimplexSolution("optimal", x, y, Fraction(-obj[-1], den * big_m))
 
@@ -199,15 +239,13 @@ def solve_max_leq(a, b, c) -> SimplexSolution:
     # maximize c.x == minimize (-c).x
     cost, big_m = _scaled(c)
     obj = [-v for v in cost] + [0] * (m + 1)
-    status, den = _run(tab, obj, basis, 1, range(n + m))
+    dens = [1] * (m + 1)
+    status = _run(tab, obj, basis, dens, range(n + m))
     if status != "optimal":
         return SimplexSolution(status)
-    x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = Fraction(tab[i][-1], den)
+    x = _primal(tab, basis, dens, n)
     # obj[-1] / den tracks minus the minimized (-c).x, i.e. the maximized value
-    return SimplexSolution("optimal", x, None, Fraction(obj[-1], den * big_m))
+    return SimplexSolution("optimal", x, None, Fraction(obj[-1], dens[-1] * big_m))
 
 
 def check_min_geq(a, b, c, sol: SimplexSolution) -> None:

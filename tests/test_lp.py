@@ -165,6 +165,37 @@ def test_tampered_solution_raises(monkeypatch, tamper):
         solve_exact(build_porous_lp(path(5)))
 
 
+def test_value_route_matches_fraction_model():
+    # the route solves the integer rows; the Fraction model is the same LP
+    graphs = _pinned_corpus() + [cycle(k) for k in range(3, 16)]
+    for g in graphs:
+        assert fractional_porous_number(g) == solve_exact(build_porous_lp(g)).objective
+
+
+def test_value_route_builds_no_fraction_model(monkeypatch):
+    def refuse(g):
+        raise RuntimeError("the value route built the Fraction model")
+
+    monkeypatch.setattr(lp, "build_porous_lp", refuse)
+    route = fractional_porous_number.__wrapped__  # past the cache
+    assert route(path(7)) == F(3, 2)
+    assert route(cycle(4)) == F(8, 9)
+
+
+@pytest.mark.parametrize("tamper", [_tamper_dual, _tamper_primal, _tamper_objective])
+def test_value_route_tampered_solution_raises(monkeypatch, tamper):
+    real = lp.solve_min_geq
+
+    def kernel(a, b, c):
+        res = real(a, b, c)
+        tamper(res)
+        return res
+
+    monkeypatch.setattr(lp, "solve_min_geq", kernel)
+    with pytest.raises(CertificateError):
+        fractional_porous_number.__wrapped__(path(5))
+
+
 def test_certificate_checks_survive_optimize_flag():
     script = textwrap.dedent(
         """

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -142,3 +144,60 @@ def test_random_lps_against_scipy():
             assert res.status == 2
         else:
             assert res.status == 3  # unbounded
+
+
+def test_no_rows_negative_cost_is_unbounded():
+    # min -x0 over x >= 0 alone has no optimum; the maximizing form agrees
+    assert solve_min_geq([], [], [F(-1)]).status == "unbounded"
+    assert solve_max_leq([], [], [F(1)]).status == "unbounded"
+    res = solve_min_geq([], [], [F(0), F(2)])
+    assert res.status == "optimal"
+    assert res.x == [F(0), F(0)] and res.y == [] and res.objective == 0
+
+
+def _kernel_corpus():
+    """About 3,000 seeded small LPs: mixed signs, zero right-hand sides,
+    repeated, scaled and zero rows, both Fraction and int input."""
+    rng = random.Random(22031968)
+    for k in range(3000):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, 6)
+        a = []
+        for _ in range(m):
+            shape = rng.random()
+            if a and shape < 0.15:
+                a.append(list(rng.choice(a)))  # repeated row
+            elif a and shape < 0.25:
+                q = F(rng.randint(1, 3), rng.randint(1, 3))
+                a.append([q * v for v in rng.choice(a)])  # scaled row
+            elif shape < 0.3:
+                a.append([F(0)] * n)
+            else:
+                a.append([F(rng.randint(-2, 6), rng.randint(1, 4)) for _ in range(n)])
+        b = [F(0) if rng.random() < 0.3 else F(rng.randint(1, 5), rng.randint(1, 3))
+             for _ in range(m)]
+        c = [F(rng.randint(-1, 6), rng.randint(1, 3)) for _ in range(n)]
+        if k % 5 == 0:  # integer input
+            a = [[v.numerator * 12 // v.denominator for v in row] for row in a]
+            b = [v.numerator * 6 // v.denominator for v in b]
+            c = [v.numerator * 6 // v.denominator for v in c]
+        yield a, b, c
+
+
+# sha256 over status, x, y and objective of solve_min_geq and solve_max_leq on
+# _kernel_corpus(), taken from the kernel that rescaled every row at every
+# pivot.  Equal digests mean the same status and values on every LP.
+PINNED_KERNEL_DIGEST = "a578857bbb2f8c111440d2a02129b620ba4bdd4b3147531a7237918faad0e4e1"
+
+
+def test_kernel_pinned_on_random_lps():
+    digest = hashlib.sha256()
+    for a, b, c in _kernel_corpus():
+        for solve in (solve_min_geq, solve_max_leq):
+            res = solve(a, b, c)
+            fields = [res.status]
+            for values in (res.x, res.y):
+                fields += ["|", *map(str, values or ())]
+            fields += ["|", str(res.objective)]
+            digest.update(" ".join(fields).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_KERNEL_DIGEST
