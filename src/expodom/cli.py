@@ -11,7 +11,8 @@ internal certificate check (a bug: an optimum failed its re-check).  ``tau``,
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
 are exponential.  ``compute`` also refuses the fractional relaxation above
 ``lp.LP_ORDER_LIMIT`` (100) vertices unless ``--no-lp`` or ``--force`` is
-given, because the exact simplex grows as about n**5.5, and refuses graphs
+given, because the exact LP grows as about n**6 by either route (the tight
+linear system or the simplex fallback), and refuses graphs
 above ``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables
 would not fit in memory; every limit is checked before any work starts.
 Below that limit the cover search is exponential once gamma exceeds its
@@ -121,7 +122,7 @@ def _cmd_compute(args) -> int:
         )
         or not args.no_lp and not args.force and _refused(
             g, "the fractional relaxation",
-            ": its exact simplex grows as about n**5.5; pass --force or --no-lp",
+            ": the exact LP grows as about n**6; pass --force or --no-lp",
             LP_ORDER_LIMIT,
         )
         or _refused(

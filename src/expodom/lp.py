@@ -7,10 +7,20 @@ domination number; this module builds that LP, solves it exactly, and also
 evaluates the closed-form certificates and lower bounds attached to it.
 
 The LP has one source, ``_integer_rows``: the influence kernel's rows and
-the right-hand side 2**n, divided by their common power of two.  The value
-route hands those ints to the simplex, which uses integer input as it is;
+the right-hand side 2**n, divided by their common power of two.
 ``build_porous_lp`` is their ``Fraction`` view, the same LP with every
 entry over the right-hand side.
+
+The value route, ``fractional_porous_number``, takes one of two routes,
+and both end in the same integer certificate, ``simplex.check_min_geq``.
+The tight route guesses that every covering row is tight at the optimum:
+it solves the square system rows . x == rhs by one fraction-free
+elimination, and if that x is nonnegative it is optimal.  The matrix is
+symmetric, so rows^T (x / rhs) == rows . x / rhs == 1: y = x / rhs is dual
+feasible with every column tight, and b.y == rhs * sum(x / rhs) == sum(x).
+On a singular system or a negative entry the route falls back to the
+exact simplex, ``solve_exact`` on the same integer rows.  Neither route
+reads degrees or the tree formula (n + 2) / 6.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graph import Graph, NotTreeError, is_subcubic_tree
-from .simplex import check_min_geq, solve_min_geq
+from .simplex import SimplexSolution, check_min_geq, solve_min_geq
 from .weights import porous_rows
 
 
@@ -87,9 +97,53 @@ def solve_exact(model: LpModel) -> LpSolution:
     return LpSolution("optimal", tuple(res.x), tuple(res.y), res.objective)
 
 
-# The exact simplex grows as about n**5.5: path(80) takes 4 s, path(100)
-# 15 s, and path(2000) runs out of memory.  ``compute`` refuses larger graphs
-# unless forced.
+def _tight_solution(rows, rhs: int) -> SimplexSolution | None:
+    """The pair that makes every row of min sum(x), rows . x >= rhs tight.
+
+    Solves rows . x == rhs in every row by forward Bareiss elimination with
+    row swaps and fraction-free back substitution.  The last pivot is
+    d == +-det(rows), and d * x is an integer vector (Cramer), so x is read
+    as v / d with v and d flipped together to make d positive.  Returns
+    None when rows is singular or x has a negative entry.  Otherwise x is
+    primal feasible with every row tight and, rows being symmetric, y =
+    x / rhs is the dual with every column tight; the caller certifies it.
+    """
+    n = len(rows)
+    m = [[*row, rhs] for row in rows]
+    prev = 1
+    for k in range(n):
+        if not m[k][k]:
+            r = next((i for i in range(k + 1, n) if m[i][k]), -1)
+            if r < 0:
+                return None
+            m[k], m[r] = m[r], m[k]
+        pivot = m[k]
+        p = pivot[k]
+        tail = pivot[k + 1:]
+        for i in range(k + 1, n):
+            row = m[i]
+            f = row[k]
+            row[k + 1:] = [(p * a - f * b) // prev for a, b in zip(row[k + 1:], tail)]
+        prev = p
+    d = prev
+    v = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = m[k]
+        s = d * row[n] - sum(w * c for w, c in zip(row[k + 1:n], v[k + 1:]))
+        v[k] = s // row[k]
+    if d < 0:
+        d, v = -d, [-c for c in v]
+    if any(c < 0 for c in v):
+        return None
+    x = [Fraction(c, d) for c in v]
+    y = [Fraction(c, d * rhs) for c in v]
+    return SimplexSolution("optimal", x, y, Fraction(sum(v), d))
+
+
+# The exact LP grows as about n**6 on paths by either route: the tight
+# route takes 2.5 s on path(80) and 11 s on path(100), the simplex 3.9 and
+# 15 s (one core of a shared x86 host), and path(2000) runs out of memory.
+# ``compute`` refuses larger graphs unless forced.
 LP_ORDER_LIMIT = 100
 
 
@@ -97,12 +151,21 @@ LP_ORDER_LIMIT = 100
 def fractional_porous_number(g: Graph) -> Fraction:
     """Optimum of the porous LP relaxation; always attained and rational.
 
-    Solves and certifies the LP in ints, ``_integer_rows`` with the
-    right-hand side repeated: the same optimum as ``build_porous_lp(g)``,
-    with the duals of the integer rows.
+    The LP in ints, ``_integer_rows`` with the right-hand side repeated:
+    the same optimum as ``build_porous_lp(g)``.  First the tight route,
+    ``_tight_solution``: x with every row tight and y = x / rhs, the dual
+    because the matrix is symmetric, certified by ``check_min_geq``.  On a
+    singular system or a negative entry of x, the exact simplex through
+    ``solve_exact``, certified the same way, with the duals of the
+    integer rows.
     """
     rows, rhs = _integer_rows(g)
-    sol = solve_exact(LpModel(rows, (rhs,) * g.n, (1,) * g.n))
+    b, c = (rhs,) * g.n, (1,) * g.n
+    tight = _tight_solution(rows, rhs)
+    if tight is not None:
+        check_min_geq(rows, b, c, tight)
+        return tight.objective
+    sol = solve_exact(LpModel(rows, b, c))
     if sol.status != "optimal":  # feasible by x == 1, bounded below by 0
         raise RuntimeError(f"porous LP unexpectedly {sol.status}")
     return sol.objective

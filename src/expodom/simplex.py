@@ -18,7 +18,8 @@ sign tests, the ratio test (both terms of a ratio come from one row),
 Bland's tie-break and the drive-out's zero test read stored rows as they
 are, and x is S[i][-1] / dens[i].  A row is brought to den only where it
 pivots or where phase 2 builds its objective from it; the objective row is
-always kept over den.
+kept over den, apart from phase 1's after a drive-out pivot, which nothing
+reads: phase 2 builds a new one.
 
 Integer input is used as it is.  Otherwise the inputs become integers by
 one uniform scaling: A and b by the lcm L of their denominators, c by the
@@ -99,7 +100,9 @@ def _pivot(tab, obj, basis, dens, pr, pc) -> None:
     """Integer-preserving pivot on (pr, pc).
 
     ``dens[i]`` is the denominator row i is stored over, and ``dens[-1]``
-    the common one, over which ``obj`` is kept; the pivot makes it p.
+    the common one, over which ``obj`` is kept; the pivot makes it p.  A
+    drive-out pivot may leave ``obj`` off the new den: phase 2 rebuilds it
+    before anything reads it.
     """
     den = dens[-1]
     row = _current(tab, dens, pr)
@@ -120,8 +123,6 @@ def _pivot(tab, obj, basis, dens, pr, pc) -> None:
     f = obj[pc]
     if f:
         obj[:] = [(p * a - f * b) // den for a, b in zip(obj, row)]
-    elif p != den:  # only a drive-out pivot meets obj[pc] == 0
-        obj[:] = [p * a // den for a in obj]
     dens[pr] = dens[-1] = p
     basis[pr] = pc
 

@@ -13,8 +13,9 @@ solved in floating point and re-checked exactly.  ``tau_brute`` is
 ``family.tau`` without its porous-bound skip: it evaluates every candidate
 set, so it judges the skip.  The module also holds
 random graph generators with fixed seeds, a Hypothesis strategy for
-arbitrary graphs, two LP helpers only the tests use (the dual solved on
-its own, and a CPLEX LP export for external solvers), and the small tree
+arbitrary graphs, three LP helpers only the tests use (the dual solved on
+its own, a square linear system solved in ``Fraction``, and a CPLEX LP
+export for external solvers), and the small tree
 and fixture helpers that only the tests call: ``tree_centers``,
 ``tree_from_pruefer``, ``relabel`` and three fixture witnesses.  The tree
 walk ``automorphism_count`` (and ``labeled_copies``, n!/|Aut|) judges the
@@ -278,6 +279,26 @@ def solve_dual_direct(model: LpModel) -> SimplexSolution:
         for j in range(n)
     )
     return solve_max_leq(transposed, model.objective, model.rhs)
+
+
+def solve_square(rows, rhs) -> list[Fraction] | None:
+    """x with rows . x == rhs in every row, by Gauss-Jordan elimination in
+    ``Fraction``; None when rows is singular.
+
+    Judges the tight route's fraction-free elimination, ``lp._tight_solution``.
+    """
+    n = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(rhs)] for row in rows]
+    for k in range(n):
+        r = next((i for i in range(k, n) if m[i][k]), None)
+        if r is None:
+            return None
+        m[k], m[r] = m[r], m[k]
+        m[k] = [v / m[k][k] for v in m[k]]
+        for i in range(n):
+            if i != k and m[i][k]:
+                m[i] = [a - m[i][k] * b for a, b in zip(m[i], m[k])]
+    return [row[-1] for row in m]
 
 
 def export_cplex_lp(model: LpModel, name: str = "porous") -> str:

@@ -22,7 +22,8 @@ from expodom.graph import (
 )
 from expodom.enumeration import trees_up_to
 from expodom.fixtures import fixture_f1, fixture_f2
-from expodom.graph6 import emit_graph6
+from expodom.graph6 import emit_graph6, parse_graph6
+from expodom.harness import run_suite
 from expodom.lp import (
     LpModel,
     bound_diameter,
@@ -34,7 +35,12 @@ from expodom.lp import (
     solve_exact,
 )
 
-from _oracles import export_cplex_lp, random_subcubic_graph, solve_dual_direct
+from _oracles import (
+    export_cplex_lp,
+    random_subcubic_graph,
+    solve_dual_direct,
+    solve_square,
+)
 
 F = Fraction
 
@@ -182,18 +188,109 @@ def test_value_route_builds_no_fraction_model(monkeypatch):
     assert route(cycle(4)) == F(8, 9)
 
 
-@pytest.mark.parametrize("tamper", [_tamper_dual, _tamper_primal, _tamper_objective])
-def test_value_route_tampered_solution_raises(monkeypatch, tamper):
-    real = lp.solve_min_geq
+# each route of fractional_porous_number: the graph that takes it and the
+# function whose result the route certifies
+ROUTES = {
+    "tight": (path(5), "_tight_solution"),
+    "simplex": (star(4), "solve_min_geq"),
+}
 
-    def kernel(a, b, c):
-        res = real(a, b, c)
+
+@pytest.mark.parametrize("tamper", [_tamper_dual, _tamper_primal, _tamper_objective])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_value_route_tampered_solution_raises(monkeypatch, route, tamper):
+    g, name = ROUTES[route]
+    real = getattr(lp, name)
+
+    def kernel(*args):
+        res = real(*args)
         tamper(res)
         return res
 
-    monkeypatch.setattr(lp, "solve_min_geq", kernel)
+    monkeypatch.setattr(lp, name, kernel)
     with pytest.raises(CertificateError):
-        fractional_porous_number.__wrapped__(path(5))
+        fractional_porous_number.__wrapped__(g)
+
+
+def _simplex_spy(monkeypatch) -> list:
+    calls = []
+    real = lp.solve_min_geq
+
+    def spy(a, b, c):
+        calls.append(len(c))
+        return real(a, b, c)
+
+    monkeypatch.setattr(lp, "solve_min_geq", spy)
+    return calls
+
+
+def test_tight_route_runs_no_simplex(monkeypatch):
+    calls = _simplex_spy(monkeypatch)
+    route = fractional_porous_number.__wrapped__  # past the cache
+    for g in [*trees_up_to(12), *(cycle(k) for k in range(3, 16))]:
+        route(g)
+    assert calls == []
+
+
+@pytest.mark.parametrize("g6", ["Ds_", "DmO"])  # star(4), and star(4) plus a leaf-leaf edge
+def test_negative_entry_falls_back_once(monkeypatch, g6):
+    g = parse_graph6(g6)
+    rows, rhs = lp._integer_rows(g)
+    x = solve_square(rows, rhs)
+    assert x is not None and min(x) < 0  # nonsingular, one entry negative
+    assert lp._tight_solution(rows, rhs) is None
+    want = solve_exact(build_porous_lp(g)).objective
+    calls = _simplex_spy(monkeypatch)
+    assert fractional_porous_number.__wrapped__(g) == want
+    assert calls == [g.n]
+
+
+def test_tight_solution_small_systems():
+    singular = [[1, 2], [2, 4]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[0, 0], [0, 0]]
+    for rows in singular:
+        assert lp._tight_solution(rows, 1) is None
+    # a zero leading pivot needs a row swap
+    sol = lp._tight_solution([[0, 1], [1, 0]], 1)
+    assert sol.x == [1, 1] and sol.y == [1, 1] and sol.objective == 2
+    # the last pivot is det == -3, so numerators and pivot flip together
+    sol = lp._tight_solution([[1, 2], [2, 1]], 3)
+    assert sol.x == [1, 1] and sol.y == [F(1, 3), F(1, 3)] and sol.objective == 2
+
+
+def test_tight_solution_matches_fraction_elimination():
+    # symmetric integer systems with zeros, swaps, negative determinants,
+    # singular matrices and negative solutions, judged in Fraction
+    rng = random.Random(2007)
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(1, 5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice([0, 0, 1, 2, 3, -1, 5])
+        rhs = rng.randint(1, 4)
+        want = solve_square(rows, rhs)
+        got = lp._tight_solution(rows, rhs)
+        if want is None or min(want) < 0:
+            kinds.add("singular" if want is None else "negative")
+            assert got is None
+            continue
+        kinds.add("tight")
+        assert got.x == want
+        assert got.y == [v / rhs for v in want]
+        assert got.objective == sum(want)
+    assert kinds == {"singular", "negative", "tight"}
+
+
+def test_theorem2_never_reads_the_tree_certificate(monkeypatch):
+    def refuse(t):
+        raise RuntimeError("theorem2 read the closed-form tree certificate")
+
+    monkeypatch.setattr(lp, "canonical_tree_solution", refuse)
+    fractional_porous_number.cache_clear()
+    report = run_suite("theorem2", 11)
+    assert report.checked == 149
+    assert report.violations == []
 
 
 def test_certificate_checks_survive_optimize_flag():
