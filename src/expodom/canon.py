@@ -13,11 +13,18 @@ children in code order, listing the ``Graph``'s edges in the same BFS, and
 is the one place a canonical representative is built:
 ``tree_from_code(canonical_code(g))``.  The centers are found inside the
 walk and are not exported.
+``rooted_codes`` gives ``rooted_code(g, v)`` for every vertex v from one
+walk: rerooted top-down, each child's branch towards its parent (its "up"
+code, built from the parent's other branches) sorts in among its own.
+``pendant_path_code`` codes a tree grown by a pendant path from the smaller
+tree's adjacency, with no ``Graph`` built.  Family generation reads both.
 The same codes order every vertex's children for explicit isomorphism maps
 between trees; ``enumeration`` reads automorphism counts off the codes.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 from .graph import Graph, NotTreeError
 
@@ -89,6 +96,48 @@ def rooted_code(g: Graph, root: int) -> bytes:
     if not 0 <= root < g.n:
         raise ValueError(f"vertex {root} out of range")
     return _walk(g.adj, [root])[1][root]
+
+
+def rooted_codes(g: Graph) -> list[bytes]:
+    """``rooted_code(g, v)`` for every vertex v, byte for byte, from one walk.
+
+    The walk from vertex 0 gives each vertex's downward code; a top-down
+    pass then gives each child v the "up" code of its parent's other
+    branches, which sorts in among v's own branches.  Raises NotTreeError
+    unless g is a tree, the empty graph included."""
+    if not g.n:
+        raise NotTreeError("not a tree: the graph is empty")
+    adj = g.adj
+    parent, down = _walk(adj, [0])
+    up = [b""] * g.n  # up[v]: code of the branch at parent[v] away from v
+    codes = [b""] * g.n
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        p = parent[u]
+        branches = sorted([up[u] if v == p else down[v] for v in adj[u]])
+        codes[u] = b"(" + b"".join(branches) + b")"
+        for v in adj[u]:
+            if v != p:
+                rest = branches.copy()
+                del rest[bisect_left(rest, down[v])]
+                up[v] = b"(" + b"".join(rest) + b")"
+                stack.append(v)
+    return codes
+
+
+def pendant_path_code(g: Graph, attach: int, length: int) -> bytes:
+    """``canonical_code(add_pendant_path(g, attach, length))``, read off
+    g's adjacency plus the path, with no ``Graph`` built."""
+    if not 0 <= attach < g.n:
+        raise ValueError(f"attach vertex {attach} out of range")
+    adj = list(g.adj)
+    prev = attach
+    for new in range(g.n, g.n + length):
+        adj[prev] = (*adj[prev], new)
+        adj.append((prev,))
+        prev = new
+    return _center_walk(adj)[0]
 
 
 def _center_walk(adj):

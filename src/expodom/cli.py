@@ -9,7 +9,8 @@ below 1 among them, and ``family`` without exactly one of ``--nmax`` and
 internal certificate check (a bug: an optimum failed its re-check).  ``tau``,
 ``family --recognize`` and the searches of ``compute`` (unless ``--force``)
 refuse graphs above SIZE_GUARD vertices with exit 65, because their searches
-are exponential.  ``compute`` also refuses the fractional relaxation above
+are exponential: ``tau``'s over candidate sets, recognition's reverse search
+over peel-backs.  ``compute`` also refuses the fractional relaxation above
 ``lp.LP_ORDER_LIMIT`` (100) vertices unless ``--no-lp`` or ``--force`` is
 given, because the exact LP grows as about n**6 by either route (the tight
 linear system or the simplex fallback), and refuses graphs
@@ -21,7 +22,7 @@ counting bound: ``--no-ilp --no-lp`` takes 6 s on f1:13 (n = 43), 0.1 s on P3000
 ``enumeration.MAX_ORDER`` (22) exit 64 before any tree is composed: the
 trees themselves take about a second there, but a sweep of the per-tree
 checks over orders above it would run for hours.  ``family --nmax`` above
-``family.MAX_ORDER`` (18) and ``f1:<k>`` fixtures above ``graph.MAX_ORDER``
+``family.MAX_ORDER`` (20) and ``f1:<k>`` fixtures above ``graph.MAX_ORDER``
 vertices exit 64 before anything is built.
 ``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run
 ``--jobs`` worker processes (default 1).
@@ -176,7 +177,9 @@ def _cmd_tau(args) -> int:
 def _cmd_family(args) -> int:
     if args.recognize is not None:
         g = _load_graph(args.recognize, args.format)
-        if _refused(g, "recognition", ": its tau searches are exponential"):
+        if _refused(
+            g, "recognition", ": its reverse search over peel-backs is exponential"
+        ):
             return EXIT_DATA
         trace = recognize(g)
         payload = {

@@ -31,7 +31,10 @@ witness (the first set in enumeration order to reach the minimum) and for
 graphs with cycles; with the searches, it judges the DPs in the tests.
 
 Every verdict is memoized under a canonical code, so isomorphic copies share
-it: a guard at x walks ``rooted_code(g, x)`` once, and that key is also the
+it.  A guard at x is keyed by ``rooted_code(g, x)``.  ``generate_family``
+passes the key in: one ``canon.rooted_codes`` walk per tree gives every
+vertex's key, which is also its orbit key.  Called without a key, as
+``recognize`` calls them, the guards walk it themselves, and that walk is the
 tree check, since the canon walk raises NotTreeError on any other graph.
 ``_memo`` fills ``_TAU``, ``_GAMMA_E`` (read only by ``tau``) and
 ``_RECOGNIZE``; one classical DP run fills ``_GAMMA``, ``_FORCED`` and
@@ -46,7 +49,9 @@ from typing import Iterator, NamedTuple
 
 from .canon import (
     canonical_code,
+    pendant_path_code,
     rooted_code,
+    rooted_codes,
     tree_from_code,
     tree_isomorphism_map,
 )
@@ -186,7 +191,8 @@ def tau(g: Graph, x: int) -> TauResult:
 
 def _subcubic(g: Graph, key: bytes) -> bytes:
     """``key``, a canonical or rooted code of g, once g is known subcubic:
-    computing the key already checked that g is a tree."""
+    computing the key already checked that g is a tree.  A guard given its
+    key by the caller (``generate_family``) leaves that check to it."""
     if g.max_degree() > 3:
         raise NotSubcubicError("growth operations keep trees subcubic")
     return key
@@ -282,18 +288,18 @@ def _domination(g: Graph, x: int, key: bytes) -> tuple[int, int, int]:
     return _GAMMA[key], _FORCED[key], _RESTRICTED[key]
 
 
-def op1_applicable(g: Graph, x: int) -> bool:
+def op1_applicable(g: Graph, x: int, key: bytes | None = None) -> bool:
     """Leaf attachment at x: x must lie in some minimum dominating set."""
-    key = _subcubic(g, rooted_code(g, x))
+    key = _subcubic(g, rooted_code(g, x) if key is None else key)
     if g.degree(x) >= 3:
         return False
     gamma, forced, _ = _domination(g, x, key)
     return forced == gamma
 
 
-def op2_applicable(g: Graph, x: int) -> bool:
+def op2_applicable(g: Graph, x: int, key: bytes | None = None) -> bool:
     """Two-vertex path at x: tau(x) > 1, or excusing x from domination helps."""
-    key = _subcubic(g, rooted_code(g, x))
+    key = _subcubic(g, rooted_code(g, x) if key is None else key)
     if g.degree(x) >= 3:
         return False
     if _memo(_TAU, key, lambda: _blocked_dp(g, x)[1]) > 1:
@@ -302,9 +308,9 @@ def op2_applicable(g: Graph, x: int) -> bool:
     return restricted < gamma
 
 
-def op3_applicable(g: Graph, w: int) -> bool:
+def op3_applicable(g: Graph, w: int, key: bytes | None = None) -> bool:
     """Three-vertex path at w: tau(w) > 1/2."""
-    key = _subcubic(g, rooted_code(g, w))
+    key = _subcubic(g, rooted_code(g, w) if key is None else key)
     if g.degree(w) >= 3:
         return False
     return _memo(_TAU, key, lambda: _blocked_dp(g, w)[1]) > Fraction(1, 2)
@@ -416,16 +422,21 @@ def recognize(g: Graph) -> OpTrace | None:
     return found[0] if found else None
 
 
-# Generation time grows about fourfold every two orders: 0.22 / 0.59 / 2.4
-# / 8.1 s at 12 / 14 / 16 / 18 vertices (cold commands, medians of three, on
-# a shared 2-core host); order 20, with this limit lifted, took 34 s and
-# 61 MB in-process for its 13,732 members.
-MAX_ORDER = 18
+# Generation time grows about fourfold every two orders: 0.13 / 0.40 / 1.4
+# / 6.0 / 25 s at 12 / 14 / 16 / 18 / 20 vertices (cold commands, medians
+# of three, on a shared 2-core host); order 20 has 13,732 members and peaks
+# at 56 MB.
+MAX_ORDER = 20
 
 
 def generate_family(n_max: int) -> Iterator[Graph]:
     """All family members with at most n_max vertices, one per isomorphism
-    class, sorted by order then canonical code."""
+    class, sorted by order then canonical code.
+
+    Each tree an operation still fits on is walked once, by
+    ``rooted_codes``; its vertices' codes are both the orbit keys and the
+    guards' memo keys.  A grown tree's code is read off its parent's
+    adjacency (``pendant_path_code``): only new members are built."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > MAX_ORDER:
@@ -437,21 +448,19 @@ def generate_family(n_max: int) -> Iterator[Graph]:
     queue = [start]
     while queue:
         g = queue.pop()
+        if g.n + 1 > n_max:  # no operation fits
+            continue
         tried: set[bytes] = set()
-        for x in range(g.n):
-            if g.degree(x) >= 3:
-                continue
-            orbit = rooted_code(g, x)
-            if orbit in tried:
+        for x, orbit in enumerate(rooted_codes(g)):
+            if g.degree(x) >= 3 or orbit in tried:
                 continue
             tried.add(orbit)
             for op in (1, 2, 3):
                 if g.n + op > n_max:
+                    break
+                if not _APPLICABLE[op](g, x, orbit):
                     continue
-                if not _APPLICABLE[op](g, x):
-                    continue
-                grown = add_pendant_path(g, x, op)
-                code = canonical_code(grown)
+                code = pendant_path_code(g, x, op)
                 if code not in members:
                     members[code] = tree_from_code(code)
                     queue.append(members[code])

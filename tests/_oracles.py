@@ -246,6 +246,17 @@ def graphs(draw, max_n: int) -> Graph:
     return Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
+@st.composite
+def trees(draw, max_n: int) -> Graph:
+    """Hypothesis strategy: any tree of order 1..max_n, of any degree, each
+    vertex after the first hung on a drawn earlier one, then relabeled by a
+    drawn permutation."""
+    n = draw(st.integers(1, max_n))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def influence_oracle(g: Graph, dominators, blocked: bool) -> list[Fraction]:
     """Each vertex's weight by definition: the sum over dominators v of
     (1/2)**(d-1), d the BFS distance from v, through no other dominator

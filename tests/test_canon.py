@@ -8,13 +8,16 @@ from hypothesis import example, given, settings
 from expodom.canon import (
     canonical_code,
     canonical_order,
+    pendant_path_code,
     rooted_code,
+    rooted_codes,
     tree_from_code,
     tree_isomorphism_map,
 )
 from expodom.graph import (
     Graph,
     NotTreeError,
+    add_pendant_path,
     cycle,
     delete_vertices,
     is_tree,
@@ -34,6 +37,7 @@ from _oracles import (
     random_subcubic_tree,
     relabel,
     tree_centers,
+    trees,
 )
 
 
@@ -171,6 +175,52 @@ def test_rooted_code_rejects_roots_out_of_range(root):
 def test_rooted_code_of_the_empty_graph_is_no_tree():
     with pytest.raises(NotTreeError):
         rooted_code(Graph(0), 0)
+
+
+def test_rooted_codes_match_rooted_code_on_small_trees():
+    for t in trees_up_to(13):
+        assert rooted_codes(t) == [rooted_code(t, v) for v in range(t.n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(max_n=40))
+@example(Graph(1))
+@example(path(2))
+@example(path(40))
+@example(star(39))
+def test_rooted_codes_match_rooted_code(g):
+    # any degree: a vertex's up code must sort in among many equal branches
+    assert rooted_codes(g) == [rooted_code(g, v) for v in range(g.n)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(0),
+        cycle(5),
+        Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # a forest of two P3
+        Graph(3, [(1, 2)]),  # vertex 0 alone: the walk from 0 misses the rest
+    ],
+    ids=["empty", "C5", "forest", "isolated-root"],
+)
+def test_rooted_codes_reject_non_trees(g):
+    with pytest.raises(NotTreeError):
+        rooted_codes(g)
+
+
+def test_pendant_path_code_matches_the_built_tree():
+    for t in trees_up_to(10):
+        for x in range(t.n):
+            for length in range(4):
+                grown = add_pendant_path(t, x, length)
+                assert pendant_path_code(t, x, length) == canonical_code(grown)
+
+
+def test_pendant_path_code_checks_its_input():
+    with pytest.raises(ValueError, match="attach vertex 3 out of range"):
+        pendant_path_code(path(3), 3, 1)
+    with pytest.raises(NotTreeError):
+        pendant_path_code(cycle(4), 0, 2)
 
 
 def brute_aut(g: Graph) -> int:

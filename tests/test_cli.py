@@ -340,6 +340,21 @@ def test_family_generate(capsys):
     assert len(out.split()) == 5  # P1, P2, P3, P4, star
 
 
+# sha256 of `family --nmax k` stdout, taken from the generator that walked
+# every orbit key and grown tree through its own `rooted_code` and `Graph`
+PINNED_FAMILY_DIGESTS = {
+    12: "b654d8a0eb1518723670c13ea02763575f49470502a5c44d131ff0df941d5df2",
+    14: "f98ec9e247d841d5d655f4e7022905cd1f50f42c8d6ffd9dfd2363e9c590e876",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_FAMILY_DIGESTS))
+def test_family_pinned_stdout(capsys, n):
+    code, out, err = run_cli(capsys, "family", "--nmax", str(n))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_FAMILY_DIGESTS[n]
+
+
 def test_family_recognize(tmp_path, capsys):
     src = write_graph(tmp_path, star(3))
     code, out, _ = run_cli(capsys, "family", "--recognize", src)
@@ -351,7 +366,8 @@ def test_family_recognize(tmp_path, capsys):
 
 @pytest.mark.parametrize("n", [27, 2500])
 def test_family_recognize_size_guard(tmp_path, capsys, n):
-    # P27 would run its tau searches for seconds, P2500 for ever
+    # the guard reads n alone: the reverse search over peel-backs takes
+    # seconds on random trees of order 26, so P27 and P2500 are refused too
     src = write_graph(tmp_path, path(n))
     code, out, err = run_cli(capsys, "family", "--recognize", src)
     assert code == 65

@@ -1,12 +1,14 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 
-from expodom.canon import canonical_code, tree_isomorphism_map
+from expodom import family
+from expodom.canon import canonical_code, rooted_codes, tree_isomorphism_map
 from expodom.enumeration import trees_up_to
 from expodom.family import (
     OperationNotApplicable,
@@ -348,3 +350,51 @@ def test_guards_and_recognize_check_subcubic_trees(g):
         else:
             with pytest.raises(want):
                 call()
+
+
+def _fresh_memos(monkeypatch):
+    for name in ("_GAMMA", "_GAMMA_E", "_FORCED", "_RESTRICTED", "_TAU", "_RECOGNIZE"):
+        monkeypatch.setattr(family, name, {})
+
+
+def test_guards_given_their_keys_agree_with_the_keyless_path(monkeypatch):
+    # every verdict is memoized under its key, so a wrong key would hand one
+    # tree's verdict to another rooted tree sharing the memo
+    sites = [
+        (t, x, key) for t in trees_up_to(11) for x, key in enumerate(rooted_codes(t))
+    ]
+
+    def verdicts(keyed: bool) -> list[bool]:
+        _fresh_memos(monkeypatch)
+        return [
+            guard(t, x, key) if keyed else guard(t, x)
+            for t, x, key in sites
+            for guard in GUARDS
+        ]
+
+    keyed = verdicts(True)
+    assert keyed == verdicts(False)
+    assert Counter(keyed) == Counter({False: 1850, True: 2458})
+
+
+def test_generation_walks_each_tree_once(monkeypatch):
+    walked: Counter = Counter()
+
+    def spy(name):
+        real = getattr(family, name)
+
+        def wrapper(g, *args):
+            walked[name, canonical_code(g)] += 1
+            return real(g, *args)
+
+        monkeypatch.setattr(family, name, wrapper)
+
+    spy("rooted_code")
+    spy("rooted_codes")
+    members = list(generate_family(12))
+    # no rooted_code walk at all; one rooted_codes per popped tree an
+    # operation still fits on, none for the order-12 members
+    assert walked == Counter(
+        {("rooted_codes", canonical_code(t)): 1 for t in members if t.n < 12}
+    )
+    assert sum(walked.values()) == 84
