@@ -13,9 +13,10 @@ are exponential: ``tau``'s over candidate sets, recognition's reverse search
 over peel-backs.  ``compute`` also refuses the fractional relaxation above
 ``lp.LP_ORDER_LIMIT`` (100) vertices unless ``--no-lp`` or ``--force`` is
 given, because the exact LP grows as about n**6 by either route (the tight
-linear system or the simplex fallback), and refuses graphs
-above ``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables
-would not fit in memory; every limit is checked before any work starts.
+linear system, eliminated over its upper triangle, or the simplex it falls
+back to on a zero pivot or a negative entry), and refuses graphs above
+``solvers.COVER_ORDER_LIMIT`` vertices, whose cover-search tables would not
+fit in memory; every limit is checked before any work starts.
 Below that limit the cover search is exponential once gamma exceeds its
 counting bound: ``--no-ilp --no-lp`` takes 6 s on f1:13 (n = 43), 0.1 s on P3000.
 ``enumerate --n`` and the ``--nmax`` of ``verify`` and ``conjecture`` above

@@ -12,15 +12,18 @@ the right-hand side 2**n, divided by their common power of two.
 entry over the right-hand side.
 
 The value route, ``fractional_porous_number``, takes one of two routes,
-and both end in the same integer certificate, ``simplex.check_min_geq``.
-The tight route guesses that every covering row is tight at the optimum:
-it solves the square system rows . x == rhs by one fraction-free
-elimination, and if that x is nonnegative it is optimal.  The matrix is
-symmetric, so rows^T (x / rhs) == rows . x / rhs == 1: y = x / rhs is dual
-feasible with every column tight, and b.y == rhs * sum(x / rhs) == sum(x).
-On a singular system or a negative entry the route falls back to the
-exact simplex, ``solve_exact`` on the same integer rows.  Neither route
-reads degrees or the tree formula (n + 2) / 6.
+and both end in the same integer certificate core,
+``simplex.check_integer_min_geq``.  The tight route guesses that every
+covering row is tight at the optimum: it solves the square system rows . x
+== rhs by one fraction-free elimination over the upper triangle, and if
+that x is nonnegative it is optimal.  The matrix is symmetric, so rows^T (x
+/ rhs) == rows . x / rhs == 1: y = x / rhs is dual feasible with every
+column tight, and b.y == rhs * sum(x / rhs) == sum(x).  The route holds x
+as integers v over one denominator d until it returns sum(v) / d.  On a
+zero pivot (a singular system among them; no rows are swapped) or a
+negative entry the route falls back to the exact simplex, ``solve_exact``
+on the same integer rows.  Neither route reads degrees or the tree formula
+(n + 2) / 6.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .graph import Graph, NotTreeError, is_subcubic_tree
-from .simplex import SimplexSolution, check_min_geq, solve_min_geq
+from .simplex import check_integer_min_geq, check_min_geq, solve_min_geq
 from .weights import porous_rows
 
 
@@ -63,13 +66,16 @@ def _integer_rows(g: Graph) -> tuple[tuple[tuple[int, ...], ...], int]:
     (a power of two: 2**(n + 1 - diameter) on a connected graph with an
     edge).
 
-    These are the rows and right-hand side the simplex would build from
-    ``build_porous_lp``'s fractions, the tableau over the lcm of their
+    Every entry is 0 or a power of two, so that divisor is the smaller of
+    2**n and the smallest nonzero entry, and dividing by it is a right
+    shift.  These are the rows and right-hand side the simplex would build
+    from ``build_porous_lp``'s fractions, the tableau over the lcm of their
     denominators, without building the fractions.
     """
     rows = porous_rows(g)
-    k = math.gcd(1 << g.n, *(w for row in rows for w in row))
-    return tuple(tuple(w // k for w in row) for row in rows), (1 << g.n) // k
+    low = min((min(filter(None, row)) for row in rows), default=1)
+    s = min(g.n, low.bit_length() - 1)
+    return tuple(tuple(w >> s for w in row) for row in rows), 1 << (g.n - s)
 
 
 def build_porous_lp(g: Graph) -> LpModel:
@@ -97,33 +103,34 @@ def solve_exact(model: LpModel) -> LpSolution:
     return LpSolution("optimal", tuple(res.x), tuple(res.y), res.objective)
 
 
-def _tight_solution(rows, rhs: int) -> SimplexSolution | None:
-    """The pair that makes every row of min sum(x), rows . x >= rhs tight.
+def _tight_solution(rows, rhs: int) -> tuple[list[int], int] | None:
+    """``(v, d)`` with x = v / d making every row of min sum(x), rows . x >=
+    rhs tight, or None.
 
-    Solves rows . x == rhs in every row by forward Bareiss elimination with
-    row swaps and fraction-free back substitution.  The last pivot is
-    d == +-det(rows), and d * x is an integer vector (Cramer), so x is read
-    as v / d with v and d flipped together to make d positive.  Returns
-    None when rows is singular or x has a negative entry.  Otherwise x is
-    primal feasible with every row tight and, rows being symmetric, y =
-    x / rhs is the dual with every column tight; the caller certifies it.
+    rows must be symmetric.  Forward Bareiss elimination keeps the upper
+    triangle and the right-hand-side column only: every entry of a trailing
+    block is a minor of the symmetric matrix, so the block stays symmetric,
+    and at step k row i reads its factor m[i][k] as the pivot row's m[k][i]
+    and rewrites row[i:].  Back substitution reads the upper triangle.  The
+    last pivot is d == det(rows), and d * x is an integer vector (Cramer);
+    v and d flip together to make d positive.  Returns None on a zero pivot
+    (no row swaps: the simplex takes that LP) or a negative entry of x.
+    Otherwise x is primal feasible with every row tight and, rows being
+    symmetric, y = x / rhs is the dual with every column tight; the caller
+    certifies both.
     """
     n = len(rows)
     m = [[*row, rhs] for row in rows]
     prev = 1
     for k in range(n):
-        if not m[k][k]:
-            r = next((i for i in range(k + 1, n) if m[i][k]), -1)
-            if r < 0:
-                return None
-            m[k], m[r] = m[r], m[k]
         pivot = m[k]
         p = pivot[k]
-        tail = pivot[k + 1:]
+        if not p:
+            return None
         for i in range(k + 1, n):
+            f = pivot[i]
             row = m[i]
-            f = row[k]
-            row[k + 1:] = [(p * a - f * b) // prev for a, b in zip(row[k + 1:], tail)]
+            row[i:] = [(p * a - f * b) // prev for a, b in zip(row[i:], pivot[i:])]
         prev = p
     d = prev
     v = [0] * n
@@ -135,15 +142,14 @@ def _tight_solution(rows, rhs: int) -> SimplexSolution | None:
         d, v = -d, [-c for c in v]
     if any(c < 0 for c in v):
         return None
-    x = [Fraction(c, d) for c in v]
-    y = [Fraction(c, d * rhs) for c in v]
-    return SimplexSolution("optimal", x, y, Fraction(sum(v), d))
+    return v, d
 
 
 # The exact LP grows as about n**6 on paths by either route: the tight
-# route takes 2.5 s on path(80) and 11 s on path(100), the simplex 3.9 and
-# 15 s (one core of a shared x86 host), and path(2000) runs out of memory.
-# ``compute`` refuses larger graphs unless forced.
+# route, eliminating the upper triangle only, takes 1.6 s on path(80) and
+# 6 s on path(100), the simplex 3.0 and 11 s (one core of a shared x86
+# host), and path(2000) runs out of memory.  ``compute`` refuses larger
+# graphs unless forced.
 LP_ORDER_LIMIT = 100
 
 
@@ -153,19 +159,22 @@ def fractional_porous_number(g: Graph) -> Fraction:
 
     The LP in ints, ``_integer_rows`` with the right-hand side repeated:
     the same optimum as ``build_porous_lp(g)``.  First the tight route,
-    ``_tight_solution``: x with every row tight and y = x / rhs, the dual
-    because the matrix is symmetric, certified by ``check_min_geq``.  On a
-    singular system or a negative entry of x, the exact simplex through
-    ``solve_exact``, certified the same way, with the duals of the
-    integer rows.
+    ``_tight_solution``: x = v / d with every row tight and y = x / rhs, the
+    dual because the matrix is symmetric, certified in integers by
+    ``check_integer_min_geq``; the value sum(v) / d is the one ``Fraction``
+    it builds.  On a zero pivot or a negative entry of x, the exact simplex
+    through ``solve_exact``, certified by ``check_min_geq``, with the duals
+    of the integer rows.
     """
     rows, rhs = _integer_rows(g)
-    b, c = (rhs,) * g.n, (1,) * g.n
     tight = _tight_solution(rows, rhs)
     if tight is not None:
-        check_min_geq(rows, b, c, tight)
-        return tight.objective
-    sol = solve_exact(LpModel(rows, b, c))
+        v, d = tight
+        value = Fraction(sum(v), d)
+        lp_rows = [(*row, rhs) for row in rows]
+        check_integer_min_geq((lp_rows, 1), ((1,) * g.n, 1), tight, (v, d * rhs), value)
+        return value
+    sol = solve_exact(LpModel(rows, (rhs,) * g.n, (1,) * g.n))
     if sol.status != "optimal":  # feasible by x == 1, bounded below by 0
         raise RuntimeError(f"porous LP unexpectedly {sol.status}")
     return sol.objective

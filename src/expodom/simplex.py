@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .graph import CertificateError
 
@@ -252,27 +253,37 @@ def solve_max_leq(a, b, c) -> SimplexSolution:
 def check_min_geq(a, b, c, sol: SimplexSolution) -> None:
     """Raise CertificateError unless ``sol`` is an optimal primal-dual pair.
 
-    Checks a x >= b, x >= 0, a^T y <= c, y >= 0 and c.x == b.y == objective,
-    all in integers: a and b over their common denominator L, c over M, x
-    over its common denominator dx and y over dy.
+    Scales the LP and the pair to integers, then checks them with
+    ``check_integer_min_geq``: a and b over their common denominator L, c
+    over M, x over its common denominator dx and y over dy.
     """
-    m, n = len(a), len(c)
-    if len(sol.x) != n or len(sol.y) != m:
+    check_integer_min_geq(
+        _scaled_rows(a, b), _scaled(c), _scaled(sol.x), _scaled(sol.y), sol.objective
+    )
+
+
+def check_integer_min_geq(rows, cost, x, y, objective: Fraction) -> None:
+    """Raise CertificateError unless x and y are an optimal pair with the
+    given objective, all checked in integers.
+
+    Each argument but the objective is a pair (integers, denominator):
+    ``rows`` holds a[i] + [b[i]] times L, ``cost`` c times M, and x and y
+    are their numerators over dx and dy.  Checks a x >= b, x >= 0, a^T y <=
+    c, y >= 0 and c.x == b.y == objective.
+    """
+    (rows, big_l), (cost, big_m), (xs, dx), (ys, dy) = rows, cost, x, y
+    if len(xs) != len(cost) or len(ys) != len(rows):
         raise CertificateError("solution vectors have the wrong length")
-    rows, big_l = _scaled_rows(a, b)
-    cost, big_m = _scaled(c)
-    xs, dx = _scaled(sol.x)
-    ys, dy = _scaled(sol.y)
     if any(v < 0 for v in xs) or any(v < 0 for v in ys):
         raise CertificateError("negative primal or dual value")
     for row in rows:
-        if sum(v * w for v, w in zip(row, xs)) < row[-1] * dx:
+        if sum(map(mul, row, xs)) < row[-1] * dx:
             raise CertificateError("primal solution violates a row")
-    for j in range(n):
-        if big_m * sum(row[j] * w for row, w in zip(rows, ys)) > big_l * dy * cost[j]:
+    for *col, cj in zip(*rows, cost):
+        if big_m * sum(map(mul, col, ys)) > big_l * dy * cj:
             raise CertificateError("dual solution violates a column")
-    p, q = sol.objective.numerator, sol.objective.denominator
-    if sum(v * w for v, w in zip(cost, xs)) * q != p * big_m * dx:
+    p, q = objective.numerator, objective.denominator
+    if sum(map(mul, cost, xs)) * q != p * big_m * dx:
         raise CertificateError("objective differs from c.x")
     if sum(row[-1] * w for row, w in zip(rows, ys)) * q != p * big_l * dy:
         raise CertificateError("objective differs from b.y (strong duality)")

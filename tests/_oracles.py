@@ -150,11 +150,26 @@ def random_subcubic_graph_of_order(rng: random.Random, n: int) -> Graph:
 def _add_and_drop_edges(rng: random.Random, t: Graph) -> Graph:
     """``t`` plus up to two extra degree-respecting edges (possibly cyclic),
     then with probability 0.3 one edge fewer (possibly disconnected)."""
+    edges = _extra_edges(rng, t, rng.randint(0, 2))
+    if rng.random() < 0.3 and t.n >= 2:
+        # drop one edge to exercise disconnected graphs
+        edges.pop(rng.randrange(len(edges)))
+    return Graph(t.n, edges)
+
+
+def with_extra_edges(rng: random.Random, t: Graph, tries: int) -> Graph:
+    """``t`` plus up to ``tries`` random degree-respecting edges."""
+    return Graph(t.n, _extra_edges(rng, t, tries))
+
+
+def _extra_edges(rng: random.Random, t: Graph, tries: int) -> list:
+    """The edges of ``t``, then one per try that draws a vertex pair which
+    is no loop, no edge yet and meets no vertex of degree 3."""
     n = t.n
     edges = t.edges()
     present = set(edges)
     deg = [t.degree(v) for v in range(n)]
-    for _ in range(rng.randint(0, 2)):
+    for _ in range(tries):
         u, v = rng.randrange(n), rng.randrange(n)
         if u == v:
             continue
@@ -165,10 +180,7 @@ def _add_and_drop_edges(rng: random.Random, t: Graph) -> Graph:
         edges.append(e)
         deg[u] += 1
         deg[v] += 1
-    if rng.random() < 0.3 and n >= 2:
-        # drop one edge to exercise disconnected graphs
-        edges.pop(rng.randrange(len(edges)))
-    return Graph(n, edges)
+    return edges
 
 
 def relabel(g: Graph, order: list[int]) -> Graph:

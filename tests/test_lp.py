@@ -24,6 +24,8 @@ from expodom.enumeration import trees_up_to
 from expodom.fixtures import fixture_f1, fixture_f2
 from expodom.graph6 import emit_graph6, parse_graph6
 from expodom.harness import run_suite
+from expodom.simplex import SimplexSolution
+from expodom.weights import porous_rows
 from expodom.lp import (
     LpModel,
     bound_diameter,
@@ -38,8 +40,10 @@ from expodom.lp import (
 from _oracles import (
     export_cplex_lp,
     random_subcubic_graph,
+    random_subcubic_tree,
     solve_dual_direct,
     solve_square,
+    with_extra_edges,
 )
 
 F = Fraction
@@ -196,18 +200,46 @@ ROUTES = {
 }
 
 
+def _tamper_tight_route(monkeypatch, tamper):
+    """Apply ``tamper`` on the tight route, whose integer form has no
+    ``SimplexSolution``: x is the kernel's (v, d), while the dual
+    (v, d * rhs) and the value sum(v) / d are only inputs of the
+    certificate core, so those two are tampered there."""
+    if tamper is _tamper_primal:
+        real = lp._tight_solution
+
+        def kernel(rows, rhs):
+            v, d = real(rows, rhs)
+            tamper(SimplexSolution("optimal", v))
+            return v, d
+
+        monkeypatch.setattr(lp, "_tight_solution", kernel)
+        return
+    real_core = lp.check_integer_min_geq
+
+    def core(rows, cost, x, y, objective):
+        res = SimplexSolution("optimal", None, list(y[0]), objective)
+        tamper(res)
+        real_core(rows, cost, x, (res.y, y[1]), res.objective)
+
+    monkeypatch.setattr(lp, "check_integer_min_geq", core)
+
+
 @pytest.mark.parametrize("tamper", [_tamper_dual, _tamper_primal, _tamper_objective])
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_value_route_tampered_solution_raises(monkeypatch, route, tamper):
     g, name = ROUTES[route]
-    real = getattr(lp, name)
+    if route == "tight":
+        _tamper_tight_route(monkeypatch, tamper)
+    else:
+        real = getattr(lp, name)
 
-    def kernel(*args):
-        res = real(*args)
-        tamper(res)
-        return res
+        def kernel(*args):
+            res = real(*args)
+            tamper(res)
+            return res
 
-    monkeypatch.setattr(lp, name, kernel)
+        monkeypatch.setattr(lp, name, kernel)
     with pytest.raises(CertificateError):
         fractional_porous_number.__wrapped__(g)
 
@@ -245,21 +277,30 @@ def test_negative_entry_falls_back_once(monkeypatch, g6):
     assert calls == [g.n]
 
 
+def _square_lp_value(rows, rhs):
+    """The LP min sum(x), rows . x >= rhs, solved by the exact simplex."""
+    n = len(rows)
+    return solve_exact(LpModel(rows, (rhs,) * n, (1,) * n)).objective
+
+
 def test_tight_solution_small_systems():
     singular = [[1, 2], [2, 4]], [[1, 1, 0], [1, 1, 0], [0, 0, 1]], [[0, 0], [0, 0]]
     for rows in singular:
         assert lp._tight_solution(rows, 1) is None
-    # a zero leading pivot needs a row swap
-    sol = lp._tight_solution([[0, 1], [1, 0]], 1)
-    assert sol.x == [1, 1] and sol.y == [1, 1] and sol.objective == 2
+    # a zero leading pivot: no row swap, the simplex takes the LP, and its
+    # value is the old route's sum(x) == 2 with x == [1, 1]
+    assert lp._tight_solution([[0, 1], [1, 0]], 1) is None
+    assert _square_lp_value([[0, 1], [1, 0]], 1) == 2
     # the last pivot is det == -3, so numerators and pivot flip together
-    sol = lp._tight_solution([[1, 2], [2, 1]], 3)
-    assert sol.x == [1, 1] and sol.y == [F(1, 3), F(1, 3)] and sol.objective == 2
+    v, d = lp._tight_solution([[1, 2], [2, 1]], 3)
+    assert d > 0 and [F(c, d) for c in v] == [1, 1]
+    assert [F(c, d * 3) for c in v] == [F(1, 3), F(1, 3)] and F(sum(v), d) == 2
 
 
 def test_tight_solution_matches_fraction_elimination():
-    # symmetric integer systems with zeros, swaps, negative determinants,
-    # singular matrices and negative solutions, judged in Fraction
+    # symmetric integer systems with zeros, zero pivots, negative
+    # determinants, singular matrices and negative solutions, judged in
+    # Fraction; on a zero pivot the simplex must find the tight optimum
     rng = random.Random(2007)
     kinds = set()
     for _ in range(600):
@@ -275,11 +316,65 @@ def test_tight_solution_matches_fraction_elimination():
             kinds.add("singular" if want is None else "negative")
             assert got is None
             continue
+        if got is None:
+            kinds.add("zero pivot")
+            assert _square_lp_value(rows, rhs) == sum(want)
+            continue
         kinds.add("tight")
-        assert got.x == want
-        assert got.y == [v / rhs for v in want]
-        assert got.objective == sum(want)
-    assert kinds == {"singular", "negative", "tight"}
+        v, d = got
+        assert d > 0
+        assert [F(c, d) for c in v] == want
+        assert [F(c, d * rhs) for c in v] == [w / rhs for w in want]
+        assert F(sum(v), d) == sum(want)
+    assert kinds == {"singular", "negative", "zero pivot", "tight"}
+
+
+def _porous_corpus():
+    """Every subcubic tree up to order 12, C3-C15, and 120 seeded random
+    subcubic graphs of orders 2-20 with up to four extra edges."""
+    rng = random.Random(2511)
+    randoms = [
+        with_extra_edges(rng, random_subcubic_tree(rng, rng.randint(2, 20)), rng.randint(0, 4))
+        for _ in range(120)
+    ]
+    return [*trees_up_to(12), *(cycle(k) for k in range(3, 16)), *randoms]
+
+
+def test_symmetric_elimination_on_porous_matrices():
+    # no porous matrix of the corpus has a zero pivot or a negative entry,
+    # so the upper-triangle pass returns x on every one
+    for g in _porous_corpus():
+        rows, rhs = lp._integer_rows(g)
+        want = solve_square(rows, rhs)
+        got = lp._tight_solution(rows, rhs)
+        assert got is not None, emit_graph6(g)
+        v, d = got
+        assert [F(c, d) for c in v] == want, emit_graph6(g)
+
+
+def test_integer_rows_shift_matches_gcd():
+    # the shift by the smallest power of two equals the old gcd division
+    graphs = [Graph(0), Graph(1), Graph(3), Graph(4, [(0, 1)]), *_porous_corpus()[::7]]
+    for g in graphs:
+        rows = porous_rows(g)
+        k = math.gcd(1 << g.n, *(w for row in rows for w in row))
+        want = tuple(tuple(w // k for w in row) for row in rows), (1 << g.n) // k
+        assert lp._integer_rows(g) == want
+
+
+def test_tight_route_builds_one_fraction(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(lp, "Fraction", spy)
+    route = fractional_porous_number.__wrapped__  # past the cache
+    for g, want in ((path(7), F(3, 2)), (cycle(4), F(8, 9))):
+        built.clear()
+        assert route(g) == want
+        assert len(built) == 1
 
 
 def test_theorem2_never_reads_the_tree_certificate(monkeypatch):

@@ -1,10 +1,12 @@
 import hashlib
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
 
 from expodom import simplex
+from expodom.graph import CertificateError
 from expodom.simplex import solve_max_leq, solve_min_geq
 
 F = Fraction
@@ -201,3 +203,38 @@ def test_kernel_pinned_on_random_lps():
             fields += ["|", str(res.objective)]
             digest.update(" ".join(fields).encode() + b"\n")
     assert digest.hexdigest() == PINNED_KERNEL_DIGEST
+
+
+# min x1 + x2 s.t. x1 >= 1, x2 >= 1, x1 + x2 >= 2: the optimum is 2, at
+# x = (1, 1) with y = (1, 1, 0).  Each bad pair breaks exactly one check.
+CERTIFICATE_CASES = {
+    "optimal": ((1, 1), (1, 1, 0), 2, None),
+    "negative": ((1, 1), (-1, -1, 2), 2, "negative"),
+    "row": ((F(1, 2), F(3, 2)), (1, 1, 0), 2, "violates a row"),
+    "column": ((1, 1), (2, 0, 0), 2, "violates a column"),
+    "c.x": ((1, F(3, 2)), (1, 1, 0), 2, "differs from c.x"),
+    "b.y": ((1, 1), (F(1, 2), 0, 0), 2, "differs from b.y"),
+    "length": ((1, 1, 0), (1, 1, 0), 2, "wrong length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+def test_integer_certificate_checks_each_condition(case):
+    x, y, objective, error = CERTIFICATE_CASES[case]
+
+    def verdict():
+        if error is None:
+            return nullcontext()
+        return pytest.raises(CertificateError, match=error)
+
+    # the LP times L = 2 and its costs times M = 3, x and y over 2
+    rows = [[2, 0, 2], [0, 2, 2], [2, 2, 4]], 2
+    cost = [3, 3], 3
+    with verdict():
+        simplex.check_integer_min_geq(
+            rows, cost, ([int(2 * v) for v in x], 2), ([int(2 * v) for v in y], 2), F(objective)
+        )
+    # check_min_geq scales the same LP and pair and reaches the same verdict
+    sol = simplex.SimplexSolution("optimal", list(map(F, x)), list(map(F, y)), F(objective))
+    with verdict():
+        simplex.check_min_geq([[1, 0], [0, 1], [1, 1]], [1, 1, 2], [1, 1], sol)
