@@ -288,7 +288,7 @@ def test_tight_solution_small_systems():
     for rows in singular:
         assert lp._tight_solution(rows, 1) is None
     # a zero leading pivot: no row swap, the simplex takes the LP, and its
-    # value is the old route's sum(x) == 2 with x == [1, 1]
+    # value is sum(x) == 2 for the tight x == [1, 1]
     assert lp._tight_solution([[0, 1], [1, 0]], 1) is None
     assert _square_lp_value([[0, 1], [1, 0]], 1) == 2
     # the last pivot is det == -3, so numerators and pivot flip together
@@ -353,7 +353,7 @@ def test_symmetric_elimination_on_porous_matrices():
 
 
 def test_integer_rows_shift_matches_gcd():
-    # the shift by the smallest power of two equals the old gcd division
+    # the shift equals division by the gcd of 2**n and every entry
     graphs = [Graph(0), Graph(1), Graph(3), Graph(4, [(0, 1)]), *_porous_corpus()[::7]]
     for g in graphs:
         rows = porous_rows(g)
