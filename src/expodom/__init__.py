@@ -42,6 +42,7 @@ from .lp import (
     canonical_tree_solution,
     fractional_porous_number,
     solve_exact,
+    tree_porous_number,
 )
 from .solvers import (
     DomCertificate,

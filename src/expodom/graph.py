@@ -222,9 +222,12 @@ def is_tree(g: Graph) -> bool:
 def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]]]:
     """The tree g hung from ``root``: its vertices in BFS order and each
     vertex's children, read off one ``bfs_distances``.  Raises NotTreeError
-    unless g is a tree."""
+    unless g is a tree; the edge count goes first, so the empty graph is
+    refused before ``root`` is looked up."""
+    if g.edge_count() != g.n - 1:
+        raise NotTreeError("not a tree")
     dist = bfs_distances(g, root)
-    if g.edge_count() != g.n - 1 or INF in dist:
+    if INF in dist:
         raise NotTreeError("not a tree")
     order = sorted(range(g.n), key=dist.__getitem__)
     return order, [[u for u in g.adj[v] if dist[u] > dist[v]] for v in range(g.n)]

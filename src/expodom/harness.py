@@ -14,7 +14,11 @@ alone: theorem4 flags an "extra hit" off the 3-star and a "no hit" on it.
 As lemma1 appends full binary trees, theorem3 appends ``fixture_f2``, which
 meets its premise (no enumerated tree up to order 12 does).  The equality
 checks (theorem3, theorem4, conjecture 2) search only when the LP value
-computed for their graph is an integer, never assuming Theorem 2.
+computed for their graph is an integer, never assuming Theorem 2.  The
+sweeps whose corpus holds only trees (theorem2, corollary1, theorem3,
+theorem4, corollary2 and conjecture 2) read that value from
+``tree_porous_number``; chain and theorem5 also sweep cycles and read
+``fractional_porous_number``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .lp import (
     bound_order_degree,
     bound_subcubic_order,
     fractional_porous_number,
+    tree_porous_number,
 )
 from .solvers import (
     all_minimum_porous_sets,
@@ -147,7 +152,7 @@ def _check_chain(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_theorem2(g6: str, g: Graph) -> list[tuple]:
-    lp = fractional_porous_number(g)
+    lp = tree_porous_number(g)
     want = Fraction(g.n + 2, 6)
     if lp == want:
         return []
@@ -155,7 +160,7 @@ def _check_theorem2(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_corollary1(g6: str, g: Graph) -> list[tuple]:
-    lp = fractional_porous_number(g)
+    lp = tree_porous_number(g)
     ge = exponential_domination_number(g).value
     if ge <= 2 * lp:
         return []
@@ -163,7 +168,7 @@ def _check_corollary1(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
-    lp = fractional_porous_number(g)
+    lp = tree_porous_number(g)
     # the premise gamma_e_star = lp > 1; the search runs at an integer lp only
     if lp.denominator != 1 or lp <= 1:
         return []
@@ -216,7 +221,7 @@ def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_theorem4(g6: str, g: Graph) -> list[tuple]:
-    lp = fractional_porous_number(g)
+    lp = tree_porous_number(g)
     hit = lp.denominator == 1 and exponential_domination_number(g).value == lp
     k13 = g.n == 4 and g.max_degree() == 3  # the 3-star, the one hit expected
     if hit == k13:
@@ -256,7 +261,7 @@ def _corollary2_violations(g6: str, g: Graph, lp: Fraction, d: int) -> list[tupl
 
 
 def _check_corollary2(g6: str, g: Graph) -> list[tuple]:
-    lp = fractional_porous_number(g)
+    lp = tree_porous_number(g)
     return _corollary2_violations(g6, g, lp, diameter(g))
 
 
@@ -308,7 +313,7 @@ def _check_conjecture1(g6: str, g: Graph) -> list[tuple]:
 
 
 def _check_conjecture2(g6: str, g: Graph) -> list[tuple]:
-    lp = fractional_porous_number(g)
+    lp = tree_porous_number(g)
     if lp.denominator != 1:
         return []
     ges = porous_exponential_domination_number(g).value

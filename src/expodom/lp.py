@@ -24,6 +24,19 @@ zero pivot (a singular system among them; no rows are swapped) or a
 negative entry the route falls back to the exact simplex, ``solve_exact``
 on the same integer rows.  Neither route reads degrees or the tree formula
 (n + 2) / 6.
+
+The tree route, ``tree_porous_number``, solves the LP of a tree in O(n)
+big-int operations and builds no matrix.  ``_tree_solution`` is Gaussian
+elimination in leaf-first order, and two passes over the rooted tree,
+``_tree_down`` and ``_tree_up``, give the rows times x in integers for
+``_check_tree_certificate``.  A tight x with a negative entry (a vertex of
+degree 4 or more) goes to ``fractional_porous_number``.  The sweeps whose
+corpus holds only trees read the tree route: theorem2, corollary1,
+theorem3, theorem4, corollary2 and conjecture 2.  The chain and theorem5
+sweeps, which also take cycles, read ``fractional_porous_number``, and so
+does ``compute`` on every graph, trees included: its size limit,
+``LP_ORDER_LIMIT``, guards those about n**6 routes on purpose, and moving
+its trees to the tree route would change what that limit means.
 """
 
 from __future__ import annotations
@@ -33,7 +46,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .graph import Graph, NotTreeError, is_subcubic_tree
+from .graph import (
+    CertificateError,
+    Graph,
+    NotTreeError,
+    is_subcubic_tree,
+    rooted_tree,
+)
 from .simplex import check_integer_min_geq, check_min_geq, solve_min_geq
 from .weights import porous_rows
 
@@ -149,7 +168,8 @@ def _tight_solution(rows, rhs: int) -> tuple[list[int], int] | None:
 # route, eliminating the upper triangle only, takes 1.6 s on path(80) and
 # 6 s on path(100), the simplex 3.0 and 11 s (one core of a shared x86
 # host), and path(2000) runs out of memory.  ``compute`` refuses larger
-# graphs unless forced.
+# graphs unless forced.  It reads these routes on trees too, while
+# ``tree_porous_number`` takes path(10**4) in 0.07-0.09 s (same host).
 LP_ORDER_LIMIT = 100
 
 
@@ -178,6 +198,92 @@ def fractional_porous_number(g: Graph) -> Fraction:
     if sol.status != "optimal":  # feasible by x == 1, bounded below by 0
         raise RuntimeError(f"porous LP unexpectedly {sol.status}")
     return sol.objective
+
+
+def _tree_solution(order: list[int], children: list[list[int]]) -> list[int]:
+    """Six times the x that makes every row of the porous LP tight, on the
+    tree hung from ``order[0]`` as ``rooted_tree`` gives it: Gaussian
+    elimination in leaf-first order, written out.
+
+    The tight system is E x = c, with E the matrix of 2**-d(u, v) and c =
+    1/2 at every vertex.  A leaf l with neighbour p has d(l, u) = 1 + d(p, u)
+    for every u != l, so row l minus half of row p leaves (3/4) z_l = c_l -
+    c_p / 2, and the rest of the tree keeps its right-hand side, with p's
+    unknown raised by z_l / 2.  Peeling every vertex this way gives z_v =
+    (4/3)(c_v - c_parent / 2) below the root and z = c at the root, and then
+    x_v = z_v - (1/2) * (the sum of z_u over the children u of v).
+    """
+    z6 = [2] * len(order)  # 6 * (4/3)(1/2 - 1/4)
+    z6[order[0]] = 3  # 6 * 1/2
+    return [z6[v] - sum(z6[u] for u in kids) // 2 for v, kids in enumerate(children)]
+
+
+def _tree_down(order: list[int], children: list[list[int]], x) -> list[int]:
+    """down[v], the sum of 2**(n + 1 - d(u, v)) * x[u] over the subtree of v,
+    leaves first: x[v] << (n + 1) plus half of each child's down.
+
+    Every d(u, v) <= n - 1, so each term is a multiple of 4 and every shift
+    is exact for any integer x, negative entries included.
+    """
+    top = len(order) + 1
+    down = [0] * len(order)
+    for v in reversed(order):
+        down[v] = (x[v] << top) + (sum(down[u] for u in children[v]) >> 1)
+    return down
+
+
+def _tree_up(order: list[int], children: list[list[int]], down: list[int]) -> list[int]:
+    """full[v], the sum of 2**(n + 1 - d(u, v)) * x[u] over the whole tree,
+    root first: a child u adds to its own down half of its parent's full
+    without u's subtree, which is down[u] / 2 of it.
+
+    Outside the subtree of u, d(parent, w) <= n - 2, so the remainder is a
+    multiple of 8 and both shifts are exact.  full == ``porous_rows(g)`` . x.
+    """
+    full = down[:]
+    for v in order:
+        for u in children[v]:
+            full[u] += (full[v] - (down[u] >> 1)) >> 1
+    return full
+
+
+def _check_tree_certificate(x6: list[int], full: list[int], value: Fraction) -> None:
+    """Raise CertificateError unless x = x6 / 6 and y = x are an optimal pair
+    of the porous LP of a tree with the objective ``value``.
+
+    ``full`` is ``porous_rows`` . x6, the rows times 6 * 2**n, so a tight row
+    reads 3 << (n + 1).  With x >= 0 and every row tight, x is primal
+    feasible; the matrix is symmetric, so y = x meets every column with
+    equality, and sum(x) == sum(y) is the value of both.
+    """
+    n = len(x6)
+    if len(full) != n or any(c < 0 for c in x6):
+        raise CertificateError("tree LP solution is negative or the wrong length")
+    if any(f != 3 << (n + 1) for f in full):
+        raise CertificateError("tree LP solution leaves a row untight")
+    if value * 6 != sum(x6):
+        raise CertificateError("objective differs from sum(x) == sum(y)")
+
+
+def tree_porous_number(g: Graph) -> Fraction:
+    """The optimum of the porous LP of the tree g, in O(n) big-int
+    operations; raises NotTreeError unless g is a tree.
+
+    ``_tree_solution`` gives the tight x, and two passes, ``_tree_down``
+    then ``_tree_up``, give the rows times x for
+    ``_check_tree_certificate``; the value sum(x6) / 6 is the one
+    ``Fraction`` built.  When the tight x has a negative entry (``star(4)``:
+    a vertex of degree 4 or more) the LP goes to ``fractional_porous_number``
+    and its simplex.  The route reads no degree and no (n + 2) / 6.
+    """
+    order, children = rooted_tree(g, 0)
+    x6 = _tree_solution(order, children)
+    if min(x6) < 0:
+        return fractional_porous_number(g)
+    value = Fraction(sum(x6), 6)
+    full = _tree_up(order, children, _tree_down(order, children, x6))
+    _check_tree_certificate(x6, full, value)
+    return value
 
 
 class CanonicalSolution(NamedTuple):

@@ -8,6 +8,7 @@ from expodom.graph import (
     INF,
     MAX_ORDER,
     NotSubcubicError,
+    NotTreeError,
     ParseError,
     add_pendant_path,
     bfs_distances,
@@ -17,9 +18,11 @@ from expodom.graph import (
     delete_vertices,
     diameter,
     format_edge_list,
+    is_tree,
     is_subcubic_tree,
     parse_edge_list,
     path,
+    rooted_tree,
     star,
 )
 from expodom.enumeration import trees_up_to
@@ -148,6 +151,14 @@ def test_is_subcubic_tree():
     assert not is_subcubic_tree(cycle(4))
     assert not is_subcubic_tree(star(4))
     assert not is_subcubic_tree(Graph(3, [(0, 1)]))
+
+
+def test_rooted_tree_refuses_every_non_tree():
+    # the empty graph is no tree either, and root 0 is no vertex of it
+    for g in (Graph(0), cycle(4), Graph(3, [(0, 1)])):
+        assert not is_tree(g)
+        with pytest.raises(NotTreeError):
+            rooted_tree(g, 0)
 
 
 def test_bfs_symmetry_random_graphs():
