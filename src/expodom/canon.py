@@ -131,6 +131,8 @@ def pendant_path_code(g: Graph, attach: int, length: int) -> bytes:
     g's adjacency plus the path, with no ``Graph`` built."""
     if not 0 <= attach < g.n:
         raise ValueError(f"attach vertex {attach} out of range")
+    if length < 0:
+        raise ValueError("path length must be non-negative")
     adj = list(g.adj)
     prev = attach
     for new in range(g.n, g.n + length):

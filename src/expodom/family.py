@@ -21,29 +21,39 @@ strict ``<``, so value and witness are those of evaluating every set (see
 the subcubic trees with gamma == gamma_e; ``recognize`` decides membership
 by exhaustive reverse search and returns a replayable trace.
 
-The guards run no search.  They read two DPs rooted at the guarded vertex,
-exact on trees: the classical tree DP (``solvers.tree_domination``) gives
-gamma, domination with x forced and restricted domination of V - {x} from
-one run, and the blocked exponential DP (``_blocked_dp``) gives gamma_e and
-tau(x).  Every value a guard reads is backed by a witness re-checked in
-explicit code.  ``tau`` keeps its enumeration for the ``tau`` command's
-witness (the first set in enumeration order to reach the minimum) and for
-graphs with cycles; with the searches, it judges the DPs in the tests.
+The guards run no search.  They read two DPs, exact on trees: the
+classical tree DP (``solvers.tree_domination``) gives gamma, domination with
+x forced and restricted domination of V - {x}, and the blocked exponential
+DP (``_blocked_dp``) gives gamma_e and tau(x).  ``generate_family`` reads a
+tree's values at all its vertices from one ``_TreeGuards``: each DP is
+rooted once, at vertex 0, and an up pass reroots it
+(``solvers.TreeDomination``; the blocked one only along the paths to the
+vertices whose tau is read), instead of one rooted run per guarded vertex.  The
+public guards, which ``recognize`` calls, root both DPs at the guarded
+vertex.  Both read the same three verdicts (``_FITS``), and every value a
+guard reads is backed by a witness re-checked in explicit code: gamma's and
+gamma_e's once per DP run, a forced, restricted or tau witness at each
+vertex where the value is read.  ``tau`` keeps its enumeration for the
+``tau`` command's witness (the first set in enumeration order to reach the
+minimum) and for graphs with cycles; with the searches, it judges the DPs
+in the tests.
 
-Every verdict is memoized under a canonical code, so isomorphic copies share
-it.  A guard at x is keyed by ``rooted_code(g, x)``.  ``generate_family``
-passes the key in: one ``canon.rooted_codes`` walk per tree gives every
-vertex's key, which is also its orbit key.  Called without a key, as
-``recognize`` calls them, the guards walk it themselves, and that walk is the
-tree check, since the canon walk raises NotTreeError on any other graph.
-``_memo`` fills ``_TAU``, ``_GAMMA_E`` (read only by ``tau``) and
-``_RECOGNIZE``; one classical DP run fills ``_GAMMA``, ``_FORCED`` and
-``_RESTRICTED`` together, under the guard's rooted code.
+The public guards memoize their values under the rooted code of the
+guarded vertex, ``rooted_code(g, x)``, so isomorphic copies share them.
+Called without a key, as ``recognize`` calls them, the guards walk it
+themselves, and that walk is the tree check, since the canon walk raises
+NotTreeError on any other graph; a caller that passes the key leaves the
+tree check to itself, but not the range check.  ``_memo`` fills ``_TAU``,
+``_GAMMA_E`` (read only by ``tau``) and ``_RECOGNIZE``; one classical DP
+run fills ``_GAMMA``, ``_FORCED`` and ``_RESTRICTED`` together.
+Generation fills none of them: no two of its reads share a rooted code
+except within one tree, whose ``_TreeGuards`` holds every value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, NamedTuple
 
@@ -65,7 +75,12 @@ from .graph import (
     delete_vertices,
     rooted_tree,
 )
-from .solvers import _certify, exponential_domination_number, tree_domination
+from .solvers import (
+    TreeDomination,
+    _certify,
+    exponential_domination_number,
+    tree_domination,
+)
 from .weights import (
     influence,
     is_exponential_dominating,
@@ -192,7 +207,7 @@ def tau(g: Graph, x: int) -> TauResult:
 def _subcubic(g: Graph, key: bytes) -> bytes:
     """``key``, a canonical or rooted code of g, once g is known subcubic:
     computing the key already checked that g is a tree.  A guard given its
-    key by the caller (``generate_family``) leaves that check to it."""
+    key by the caller leaves that check to it (see ``_guard``)."""
     if g.max_degree() > 3:
         raise NotSubcubicError("growth operations keep trees subcubic")
     return key
@@ -241,6 +256,44 @@ def _vertex_states(v: int, below: list, one: int):
     return free, (k_in, 0, -one, mask_in)
 
 
+def _down_frontiers(order: list, children: list, one: int):
+    """Each vertex's frontier of its subtree (``_vertex_states``), leaves
+    up, and the root's states (free, held)."""
+    fronts: list = [None] * len(order)
+    for v in reversed(order):
+        free, held = _vertex_states(v, [fronts[u] for u in children[v]], one)
+        fronts[v] = _frontier(free + [held])
+    return fronts, (free, held)
+
+
+def _certified_gamma_e(g: Graph, states: list) -> int:
+    """gamma_e of the tree g, the least k among the root's states with need
+    0, once its witness is checked: gamma_e vertices that dominate
+    exponentially."""
+    gamma_e, mask = min((k, m) for k, need, _, m in states if need == 0)
+    witness = [v for v in range(g.n) if mask >> v & 1]
+    _certify(
+        len(witness) == gamma_e and is_exponential_dominating(g, witness),
+        "gamma_e tree witness is not an exponential dominating set of its size",
+    )
+    return gamma_e
+
+
+def _certified_tau(g: Graph, x: int, free: list, gamma_e: int, one: int) -> Fraction:
+    """tau(x), the least need over the states of x outside D (``free``, at
+    x as the root) with k below gamma_e, once its witness is checked:
+    ``_tau_of_set`` of the set, k vertices without x, is exactly its
+    need."""
+    need, k, mask = min((s[1], s[0], s[3]) for s in free if s[0] < gamma_e)
+    cand = {v for v in range(g.n) if mask >> v & 1}
+    value = None if x in cand or len(cand) != k else _tau_of_set(g, x, cand)
+    _certify(
+        value is not None and 2 * value == need,
+        "tau tree witness does not repay its need",
+    )
+    return Fraction(need, one)
+
+
 def _blocked_dp(g: Graph, x: int) -> tuple[int, Fraction]:
     """gamma_e of the tree g and ``tau(g, x).value``, from one blocked tree
     DP rooted at x (``_vertex_states``), weight 1 scaled to 2**(n+1).
@@ -250,30 +303,61 @@ def _blocked_dp(g: Graph, x: int) -> tuple[int, Fraction]:
     outside, so tau(x) is the least need over the root's states with x
     outside D and k below gamma_e; a deficit behind a dominator has no
     finite repair, and the dominator's filter on need drops it.  Both come
-    with a witness, checked here: the gamma_e set has gamma_e vertices and
-    dominates exponentially, and ``_tau_of_set`` of the tau set, a set of k
-    vertices without x, is exactly its need.  Raises NotTreeError unless g
-    is a tree."""
+    with a checked witness (``_certified_gamma_e``, ``_certified_tau``).
+    Raises NotTreeError unless g is a tree."""
     order, children = rooted_tree(g, x)
     one = 1 << (g.n + 1)
-    fronts: list = [None] * g.n
-    for v in reversed(order):
-        free, held = _vertex_states(v, [fronts[u] for u in children[v]], one)
-        fronts[v] = _frontier(free + [held])
-    gamma_e, mask = min((k, m) for k, need, _, m in free + [held] if need == 0)
-    witness = [v for v in range(g.n) if mask >> v & 1]
-    _certify(
-        len(witness) == gamma_e and is_exponential_dominating(g, witness),
-        "gamma_e tree witness is not an exponential dominating set of its size",
-    )
-    need, k, mask = min((s[1], s[0], s[3]) for s in free if s[0] < gamma_e)
-    cand = {v for v in range(g.n) if mask >> v & 1}
-    value = None if x in cand or len(cand) != k else _tau_of_set(g, x, cand)
-    _certify(
-        value is not None and 2 * value == need,
-        "tau tree witness does not repay its need",
-    )
-    return gamma_e, Fraction(need, one)
+    _, (free, held) = _down_frontiers(order, children, one)
+    gamma_e = _certified_gamma_e(g, free + [held])
+    return gamma_e, _certified_tau(g, x, free, gamma_e, one)
+
+
+class _TreeGuards(TreeDomination):
+    """Every value a guard reads, at every vertex of the subcubic tree g:
+    gamma, forced and restricted domination from ``TreeDomination``, and
+    gamma_e and tau from the blocked DP, rooted at vertex 0 and rerooted
+    where a tau is read.  ``generate_family`` builds one per tree.
+
+    The blocked down pass runs at the first tau read: the trees that only a
+    leaf still fits on read none.  The frontier ``ups[u]`` of the tree
+    beyond u's parent p is p's states over p's other branches (at degree at
+    most 3, one or two), filled in from the root down along the path to the
+    vertex read.  x's own states over all its branches then give tau(x), as
+    ``_blocked_dp`` rooted at x would.  Each tau is kept, since operations 2
+    and 3 both read it."""
+
+    def __init__(self, g: Graph):
+        super().__init__(g)
+        self.one = 1 << (g.n + 1)
+        self.ups: list = [None] * g.n
+        self.taus: dict[int, Fraction] = {}
+
+    @cached_property
+    def _blocked(self) -> tuple[list, int]:
+        """The blocked down pass from vertex 0: each subtree's frontier, and
+        gamma_e, certified."""
+        fronts, (free, held) = _down_frontiers(self.order, self.children, self.one)
+        return fronts, _certified_gamma_e(self.g, free + [held])
+
+    def _around(self, v: int, away: int = -1) -> list:
+        """The frontiers of v's branches, but for the one at ``away``: its
+        children's and, unless v is the root, ``ups[v]``, which recurses
+        towards the root (no deeper than a generated tree's order)."""
+        fronts = self._blocked[0]
+        found = [fronts[u] for u in self.children[v] if u != away]
+        p = self.parent[v]
+        if p >= 0:
+            if self.ups[v] is None:
+                free, held = _vertex_states(p, self._around(p, v), self.one)
+                self.ups[v] = _frontier(free + [held])
+            found.append(self.ups[v])
+        return found
+
+    def tau(self, x: int) -> Fraction:
+        if x not in self.taus:
+            free, _ = _vertex_states(x, self._around(x), self.one)
+            self.taus[x] = _certified_tau(self.g, x, free, self._blocked[1], self.one)
+        return self.taus[x]
 
 
 def _domination(g: Graph, x: int, key: bytes) -> tuple[int, int, int]:
@@ -288,32 +372,72 @@ def _domination(g: Graph, x: int, key: bytes) -> tuple[int, int, int]:
     return _GAMMA[key], _FORCED[key], _RESTRICTED[key]
 
 
+class _RootedAt(NamedTuple):
+    """The values a guard reads at x, from the two DPs rooted at x and
+    memoized under x's rooted code ``key``: the public guards' source."""
+
+    g: Graph
+    x: int
+    key: bytes
+
+    @property
+    def gamma(self) -> int:
+        return _domination(self.g, self.x, self.key)[0]
+
+    def forced(self, x: int) -> int:
+        return _domination(self.g, x, self.key)[1]
+
+    def restricted(self, x: int) -> int:
+        return _domination(self.g, x, self.key)[2]
+
+    def tau(self, x: int) -> Fraction:
+        return _memo(_TAU, self.key, lambda: _blocked_dp(self.g, x)[1])
+
+
+# The three guards, read off ``_RootedAt`` or ``_TreeGuards`` at a vertex of
+# degree below 3.
+
+
+def _fits_leaf(values, x: int) -> bool:
+    return values.forced(x) == values.gamma
+
+
+def _fits_pair(values, x: int) -> bool:
+    return values.tau(x) > 1 or values.restricted(x) < values.gamma
+
+
+def _fits_triple(values, w: int) -> bool:
+    return values.tau(w) > Fraction(1, 2)
+
+
+_FITS = {1: _fits_leaf, 2: _fits_pair, 3: _fits_triple}
+
+
+def _guard(op: int, g: Graph, x: int, key: bytes | None) -> bool:
+    """``_FITS[op]`` at x, once g is known to be a subcubic tree and x one
+    of its vertices.  Computing the key is the tree check; a guard given its
+    key by the caller leaves that check to it, but not the range check."""
+    if key is None:
+        key = rooted_code(g, x)
+    elif not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range")
+    _subcubic(g, key)
+    return g.degree(x) < 3 and _FITS[op](_RootedAt(g, x, key), x)
+
+
 def op1_applicable(g: Graph, x: int, key: bytes | None = None) -> bool:
     """Leaf attachment at x: x must lie in some minimum dominating set."""
-    key = _subcubic(g, rooted_code(g, x) if key is None else key)
-    if g.degree(x) >= 3:
-        return False
-    gamma, forced, _ = _domination(g, x, key)
-    return forced == gamma
+    return _guard(1, g, x, key)
 
 
 def op2_applicable(g: Graph, x: int, key: bytes | None = None) -> bool:
     """Two-vertex path at x: tau(x) > 1, or excusing x from domination helps."""
-    key = _subcubic(g, rooted_code(g, x) if key is None else key)
-    if g.degree(x) >= 3:
-        return False
-    if _memo(_TAU, key, lambda: _blocked_dp(g, x)[1]) > 1:
-        return True
-    gamma, _, restricted = _domination(g, x, key)
-    return restricted < gamma
+    return _guard(2, g, x, key)
 
 
 def op3_applicable(g: Graph, w: int, key: bytes | None = None) -> bool:
     """Three-vertex path at w: tau(w) > 1/2."""
-    key = _subcubic(g, rooted_code(g, w) if key is None else key)
-    if g.degree(w) >= 3:
-        return False
-    return _memo(_TAU, key, lambda: _blocked_dp(g, w)[1]) > Fraction(1, 2)
+    return _guard(3, g, w, key)
 
 
 _APPLICABLE = {1: op1_applicable, 2: op2_applicable, 3: op3_applicable}
@@ -422,10 +546,10 @@ def recognize(g: Graph) -> OpTrace | None:
     return found[0] if found else None
 
 
-# Generation time grows about fourfold every two orders: 0.13 / 0.40 / 1.4
-# / 6.0 / 25 s at 12 / 14 / 16 / 18 / 20 vertices (cold commands, medians
-# of three, on a shared 2-core host); order 20 has 13,732 members and peaks
-# at 56 MB.
+# Generation time grows about fourfold every two orders from 16 on: 0.13 /
+# 0.31 / 0.85 / 4.0 / 19 s at 12 / 14 / 16 / 18 / 20 vertices (cold
+# commands, medians of three, on a shared 2-core host whose speed varies by
+# up to 2x); order 20 has 13,732 members and peaks at 37 MB.
 MAX_ORDER = 20
 
 
@@ -434,8 +558,8 @@ def generate_family(n_max: int) -> Iterator[Graph]:
     class, sorted by order then canonical code.
 
     Each tree an operation still fits on is walked once, by
-    ``rooted_codes``; its vertices' codes are both the orbit keys and the
-    guards' memo keys.  A grown tree's code is read off its parent's
+    ``rooted_codes``, whose codes are the orbit keys, and its guard values
+    are read from one ``_TreeGuards``.  A grown tree's code is read off its parent's
     adjacency (``pendant_path_code``): only new members are built."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -450,6 +574,7 @@ def generate_family(n_max: int) -> Iterator[Graph]:
         g = queue.pop()
         if g.n + 1 > n_max:  # no operation fits
             continue
+        values = _TreeGuards(g)
         tried: set[bytes] = set()
         for x, orbit in enumerate(rooted_codes(g)):
             if g.degree(x) >= 3 or orbit in tried:
@@ -458,7 +583,7 @@ def generate_family(n_max: int) -> Iterator[Graph]:
             for op in (1, 2, 3):
                 if g.n + op > n_max:
                     break
-                if not _APPLICABLE[op](g, x, orbit):
+                if not _FITS[op](values, x):
                     continue
                 code = pendant_path_code(g, x, op)
                 if code not in members:

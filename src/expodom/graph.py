@@ -284,6 +284,8 @@ def add_pendant_path(g: Graph, attach: int, length: int) -> Graph:
     """New graph with a path of ``length`` fresh vertices hung on ``attach``."""
     if not 0 <= attach < g.n:
         raise ValueError(f"attach vertex {attach} out of range")
+    if length < 0:
+        raise ValueError("path length must be non-negative")
     edges = g.edges()
     prev = attach
     for i in range(length):

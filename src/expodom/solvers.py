@@ -50,8 +50,11 @@ states per vertex (in the set; outside it and dominated by a child; outside
 it and not yet dominated) yield all three values from one run.  Its
 witnesses are read back from the DP's choices, so they need not be the
 lexicographically smallest; each is re-checked, with its size, like a
-search's.  The family guards read it; ``compute`` and the suites keep the
-searches, which judge it in the tests.
+search's.  ``TreeDomination`` reroots the same DP: from one down pass and
+one up pass it gives every vertex's forced and restricted values, each
+witness read back and re-checked when its value is read.  The family guards
+read both; ``compute`` and the suites keep the searches, which judge them
+in the tests.
 """
 
 from __future__ import annotations
@@ -202,6 +205,72 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
 # -- classical domination on trees: the linear DP ----------------------------
 
 
+def _dom_costs(branches, skip: int = -1) -> tuple[int, int, int]:
+    """A vertex's costs (a, b, c) from the costs of its branches, leaving out
+    branch number ``skip``: a = 1 + sum min(a_i, b_i, c_i), b = sum
+    min(a_i, b_i) + min_i(a_i - min(a_i, b_i)) (no such state without a
+    branch), c = sum b_i."""
+    a, ab, c, extra = 1, 0, 0, INF
+    for i, (ai, bi, ci) in enumerate(branches):
+        if i != skip:
+            m = ai if ai < bi else bi
+            a += m if m < ci else ci
+            ab += m
+            c += bi
+            if ai - m < extra:
+                extra = ai - m
+    return a, ab + extra, c
+
+
+def _dom_witness(g: Graph, x: int, state: int, value: int, kids, costs) -> tuple:
+    """Read back the set behind x's cost ``value`` in ``state`` (0, 1, 2 for
+    a, b, c), each branch taking the state its parent's recurrence chose, and
+    re-check it, with its size, against what the state promises: a
+    dominating set holding x, a dominating set without x, a set without x
+    dominating all of V - {x}.  ``kids`` and ``costs`` are the tree hung
+    from x: each vertex's children, and the costs of each vertex's subtree.
+    Returns the set."""
+    chosen = []
+    states = [0] * g.n
+    states[x] = state
+    stack = [x]
+    while stack:
+        v = stack.pop()
+        below = kids[v]
+        stack += below
+        s = states[v]
+        if s == 0:
+            chosen.append(v)
+            for u in below:
+                a, b, c = costs[u]
+                states[u] = 0 if a <= b and a <= c else 1 if b <= c else 2
+        elif s == 1:
+            # the first child to join D at the least extra cost, a - min(a, b)
+            lift, extra = -1, INF
+            for u in below:
+                a, b, _ = costs[u]
+                if a <= b:  # no extra cost: none comes lower
+                    lift = u
+                    break
+                if a - b < extra:
+                    lift, extra = u, a - b
+            for u in below:
+                a, b, _ = costs[u]
+                states[u] = 0 if u == lift or a <= b else 1
+        else:
+            for u in below:
+                states[u] = 1
+    dset = tuple(sorted(chosen))
+    targets = [v for v in range(g.n) if v != x or state < 2]
+    _certify(
+        len(dset) == value
+        and (x in dset) == (state == 0)
+        and is_restricted_dominating(g, dset, targets),
+        f"tree witness of root state {'abc'[state]} breaks its promise",
+    )
+    return dset
+
+
 def tree_domination(
     g: Graph, x: int
 ) -> tuple[DomCertificate, DomCertificate, DomCertificate]:
@@ -213,70 +282,105 @@ def tree_domination(
     three: ``a`` with v in D, ``b`` with v outside D and dominated by a
     child, ``c`` with v outside D and not yet dominated.  Over v's children
     i: a = 1 + sum min(a_i, b_i, c_i), b = sum min(a_i, b_i) + min_i(a_i -
-    min(a_i, b_i)) (no such state at a leaf), c = sum b_i.  At the root,
-    gamma = min(a, b), forced = a and restricted = min(a, b, c).  The
-    witness of each root state used is read back from the same choices and
-    re-checked, with its size, against what the state promises (a dominating
-    set holding x, a dominating set without x, a set without x dominating
-    all of V - {x}); a dominating set is also a restricted one.  Raises
+    min(a_i, b_i)) (no such state at a leaf), c = sum b_i.  The recurrence
+    is written out here, not read from ``_dom_costs``, so that this DP
+    judges ``TreeDomination`` in the tests.  At the root, gamma = min(a,
+    b), forced = a and restricted = min(a, b, c).  The witness of each root
+    state used is read back from the same choices and re-checked
+    (``_dom_witness``); a dominating set is also a restricted one.  Raises
     NotTreeError unless g is a tree."""
     order, children = rooted_tree(g, x)
-    n = g.n
-    a = [0] * n
-    b = [INF] * n
-    c = [0] * n
-    lift = [-1] * n  # in state b, the child that joins D to dominate v
+    costs = [None] * g.n
     for v in reversed(order):
-        av, bv, cv, extra = 1, 0, 0, INF
+        a, ab, c, extra = 1, 0, 0, INF
         for u in children[v]:
-            ab = min(a[u], b[u])
-            av += min(ab, c[u])
-            bv += ab
-            cv += b[u]
-            if a[u] - ab < extra:
-                extra, lift[v] = a[u] - ab, u
-        a[v], b[v], c[v] = av, bv + extra, cv
+            au, bu, cu = costs[u]
+            m = au if au < bu else bu
+            a += m if m < cu else cu
+            ab += m
+            c += bu
+            if au - m < extra:
+                extra = au - m
+        costs[v] = a, ab + extra, c
 
-    def witness(state: int) -> tuple[int, ...]:
-        """The set behind the root's cost in ``state`` (0, 1, 2 for a, b,
-        c), each child taking the state its parent's recurrence chose."""
-        states = [0] * n
-        states[x] = state
-        chosen = []
-        for v in order:
-            s = states[v]
-            if s == 0:
-                chosen.append(v)
-            for u in children[v]:
-                if s == 0:
-                    costs = (a[u], b[u], c[u])
-                    states[u] = costs.index(min(costs))
-                elif s == 1:
-                    states[u] = 0 if u == lift[v] or a[u] <= b[u] else 1
-                else:
-                    states[u] = 1
-        return tuple(sorted(chosen))
-
-    root = (a[x], b[x], c[x])
+    root = costs[x]
     picks = (
-        ("gamma", 0 if a[x] <= b[x] else 1),
+        ("gamma", 0 if root[0] <= root[1] else 1),
         ("gamma_forced", 0),
         ("gamma_restricted", root.index(min(root))),
     )
     sets = {}
     for _, state in picks:
         if state not in sets:
-            # states a and b promise a dominating set, c one that may leave
-            # x undominated
-            dset = sets[state] = witness(state)
-            targets = [v for v in range(n) if v != x or state < 2]
-            _certify(
-                len(dset) == root[state]
-                and (x in dset) == (state == 0)
-                and is_restricted_dominating(g, dset, targets),
-                f"tree witness of root state {'abc'[state]} breaks its promise",
-            )
+            sets[state] = _dom_witness(g, x, state, root[state], children, costs)
     return tuple(DomCertificate(p, root[s], sets[s]) for p, s in picks)
+
+
+class TreeDomination:
+    """gamma of the tree g, and at every vertex x its domination with x
+    forced and its restricted domination of V - {x}: ``tree_domination``'s
+    DP rooted once, at vertex 0, and rerooted by a second pass.
+
+    The down pass gives each vertex v the costs ``down[v]`` of its subtree.
+    The up pass, top-down, gives each child u of v the costs ``up[u]`` of v
+    in the tree without u's branch: v's other branches, recombined
+    (``_dom_costs`` with a skip; at degree at most 3, one or two of them).
+    A vertex's children and its own ``up`` are all its branches, so
+    ``full[x]`` holds the costs the DP rooted at x would end with.  gamma
+    and its witness are read at vertex 0 once; a forced or restricted value
+    is read in O(1), and its witness is read back and checked when it is
+    asked for.  Raises NotTreeError unless g is a tree."""
+
+    def __init__(self, g: Graph):
+        order, children = rooted_tree(g, 0)
+        parent = [-1] * g.n
+        down = [None] * g.n
+        for v in reversed(order):
+            for u in children[v]:
+                parent[u] = v
+            down[v] = _dom_costs([down[u] for u in children[v]])
+        up = [None] * g.n
+        full = [None] * g.n
+        for v in order:
+            branches = [down[u] for u in children[v]]
+            if parent[v] >= 0:
+                branches.append(up[v])
+            full[v] = _dom_costs(branches)
+            for i, u in enumerate(children[v]):
+                up[u] = _dom_costs(branches, i)
+        self.g, self.order, self.children, self.parent = g, order, children, parent
+        self._down, self._up, self._full = down, up, full
+        a, b, _ = full[0]
+        self.gamma = min(a, b)
+        _dom_witness(g, 0, 0 if a <= b else 1, self.gamma, children, down)
+
+    def _witness(self, x: int, state: int) -> int:
+        """x's cost in ``state``, once its witness is read back and checked
+        in the tree hung from x: ``children`` and ``down`` with the path
+        from x to the root turned over, each vertex on it taking its parent
+        as a child and the ``up`` costs of the child it leaves."""
+        kids, costs = list(self.children), list(self._down)
+        below, v = -1, x
+        while v >= 0:
+            p = self.parent[v]
+            kids[v] = [u for u in self.children[v] if u != below]
+            if p >= 0:
+                kids[v].append(p)
+            if below >= 0:
+                costs[v] = self._up[below]
+            below, v = v, p
+        value = self._full[x][state]
+        _dom_witness(self.g, x, state, value, kids, costs)
+        return value
+
+    def forced(self, x: int) -> int:
+        """The least dominating set holding x."""
+        return self._witness(x, 0)
+
+    def restricted(self, x: int) -> int:
+        """The least set dominating V - {x}."""
+        costs = self._full[x]
+        return self._witness(x, costs.index(min(costs)))
 
 
 # -- exponential domination: subset search -----------------------------------

@@ -223,6 +223,13 @@ def test_pendant_path_code_checks_its_input():
         pendant_path_code(cycle(4), 0, 2)
 
 
+@pytest.mark.parametrize("length", [-1, -3])
+def test_pendant_path_code_rejects_negative_lengths(length):
+    # a length of 0 codes the tree itself; a negative one is no path
+    with pytest.raises(ValueError, match="path length must be non-negative"):
+        pendant_path_code(path(3), 0, length)
+
+
 def brute_aut(g: Graph) -> int:
     edges = {frozenset(e) for e in g.edges()}
     count = 0

@@ -319,6 +319,14 @@ def test_guards_reject_vertices_out_of_range(guard, x):
 
 
 @pytest.mark.parametrize("guard", GUARDS)
+@pytest.mark.parametrize("x", [-1, 3, 5])
+def test_keyed_guards_reject_vertices_out_of_range(guard, x):
+    # a key does not lift the range check
+    with pytest.raises(ValueError, match=f"vertex {x} out of range"):
+        guard(path(3), x, b"(())")
+
+
+@pytest.mark.parametrize("guard", GUARDS)
 def test_guards_on_the_empty_graph_need_a_tree(guard):
     with pytest.raises(NotTreeError):
         guard(Graph(0), 0)

@@ -183,3 +183,9 @@ def test_components_and_delete():
 def test_add_pendant_path():
     g = add_pendant_path(path(1), 0, 3)
     assert g == path(4)
+
+
+@pytest.mark.parametrize("length", [-1, -2])
+def test_add_pendant_path_rejects_negative_lengths(length):
+    with pytest.raises(ValueError, match="path length must be non-negative"):
+        add_pendant_path(path(2), 0, length)

@@ -1,7 +1,9 @@
-"""The two rooted tree DPs that the family guards read, judged against the
-searches, brute force and ``family.tau``."""
+"""The two tree DPs that the family guards read, rooted at a vertex and
+rerooted to give every vertex at once, judged against the searches, brute
+force and ``family.tau``."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +11,14 @@ from hypothesis import given, settings, strategies as st
 from expodom import family, solvers
 from expodom.canon import canonical_code
 from expodom.enumeration import trees_up_to
-from expodom.family import _blocked_dp, generate_family, tau
+from expodom.family import _TreeGuards, _blocked_dp, generate_family, tau
 from expodom.graph import CertificateError, NotTreeError, cycle, path, rooted_tree
 from expodom.solvers import (
     domination_number,
     domination_with_forced_vertex,
     exponential_domination_number,
     restricted_domination_number,
+    TreeDomination,
     tree_domination,
 )
 from expodom.weights import is_dominating, is_restricted_dominating
@@ -149,3 +152,104 @@ def test_generation_reads_no_search(monkeypatch):
         for t in trees_up_to(10)
         if domination_number(t).value == exponential_domination_number(t).value
     }
+
+
+def _everywhere(g):
+    """gamma_e, tau, gamma, forced and restricted at every vertex, from one
+    ``_TreeGuards``, as ``_from_dps`` lists them."""
+    values = _TreeGuards(g)
+    return [
+        (values._blocked[1], values.tau(x), values.gamma, values.forced(x),
+         values.restricted(x))
+        for x in range(g.n)
+    ]
+
+
+def _rerooted_mismatches(trees, judge):
+    """(tree, x) pairs where the rerooted values and ``judge(g, x)``
+    disagree, a certificate failure counting as a disagreement."""
+    bad = []
+    for g in trees:
+        try:
+            got = _everywhere(g)
+        except CertificateError:
+            got = [None] * g.n
+        bad += [(g, x) for x in range(g.n) if got[x] != judge(g, x)]
+    return bad
+
+
+def test_rerooted_values_match_the_rooted_dps_and_the_searches_to_order_11():
+    trees = list(trees_up_to(11))
+    assert sum(g.n for g in trees) == 1436
+    assert _rerooted_mismatches(trees, _from_dps) == []
+    assert _rerooted_mismatches(trees, _searched) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32), st.data())
+def test_rerooted_values_match_on_random_trees(n, seed, data):
+    g = random_subcubic_tree(random.Random(seed), n)
+    got = _everywhere(g)
+    assert got == [_from_dps(g, x) for x in range(n)]
+    x = data.draw(st.integers(0, n - 1))
+    assert got[x] == _searched(g, x)
+
+
+def test_a_wrong_up_pass_fails_the_judge(monkeypatch):
+    # the up pass's b term takes its least extra over all of the parent's
+    # branches, the child's own included: the sibling exclusion dropped
+    real = solvers._dom_costs
+
+    def no_exclusion(branches, skip=-1):
+        a, b, c = real(branches, skip)
+        if skip >= 0:
+            kept = [t for i, t in enumerate(branches) if i != skip]
+            extra = min(ai - min(ai, bi) for ai, bi, _ in branches)
+            b = sum(min(ai, bi) for ai, bi, _ in kept) + extra
+        return a, b, c
+
+    monkeypatch.setattr(solvers, "_dom_costs", no_exclusion)
+    assert _rerooted_mismatches(trees_up_to(7), _from_dps)
+
+
+@pytest.mark.parametrize("forge", ["value", "branch"])
+def test_a_forged_forced_witness_raises(forge):
+    # path(5) rooted at vertex 0: the forced value at 0 claims one vertex
+    # fewer than the DP's, or the read-back loses the branch below vertex 2;
+    # either way the set read back breaks its size or its domination
+    values = TreeDomination(path(5))
+    assert values.forced(0) == 2
+    if forge == "value":
+        values._full[0] = (1, *values._full[0][1:])
+    else:
+        values.children[2] = []
+    with pytest.raises(CertificateError):
+        values.forced(0)
+
+
+def test_generation_runs_one_pass_of_each_dp_per_tree(monkeypatch):
+    # one classical pass, rooted at vertex 0, per walked tree, and one
+    # blocked down pass per tree that a two- or three-vertex path still
+    # fits on; no DP is rooted at a guarded vertex (the rooted DPs ran 452
+    # and 228 times for these 84 trees)
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    spy(solvers, "rooted_tree")
+    spy(family, "rooted_tree")
+    for name in ("_down_frontiers", "tree_domination", "_blocked_dp"):
+        spy(family, name)
+    members = list(generate_family(12))
+    assert calls == Counter({
+        "rooted_tree": sum(t.n < 12 for t in members),
+        "_down_frontiers": sum(t.n < 11 for t in members),
+    })
+    assert calls["rooted_tree"] == 84
