@@ -7,12 +7,14 @@ vertex's code ``(`` + its children's codes in sorted order + ``)``, built in
 reverse BFS order, so no depth of tree can exhaust the call stack.  The walk
 is also the tree check: it raises NotTreeError on any other graph.  It
 reads a bare adjacency sequence, so the Prufer oracle codes its trees
-without building a ``Graph``.  ``tree_from_code`` is the inverse of
-``canonical_code``: it numbers the tree a code spells in BFS order,
-children in code order, listing the ``Graph``'s edges in the same BFS, and
-is the one place a canonical representative is built:
-``tree_from_code(canonical_code(g))``.  The centers are found inside the
-walk and are not exported.
+without building a ``Graph``.  ``_code_edges`` is the one parser of a
+code: it numbers the tree a code spells in BFS order, children in code
+order, and lists its edges in the same BFS, each parent before its child.
+``tree_from_code``, the inverse of ``canonical_code``, builds the canonical
+representative ``tree_from_code(canonical_code(g))`` from that list, and
+``graph6.graph6_from_code`` writes the same tree's graph6 from it with no
+``Graph`` built.  The centers are found inside the walk and are not
+exported.
 ``rooted_codes`` gives ``rooted_code(g, v)`` for every vertex v from one
 walk: rerooted top-down, each child's branch towards its parent (its "up"
 code, built from the parent's other branches) sorts in among its own.
@@ -175,10 +177,11 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     return code, order
 
 
-def tree_from_code(code: bytes) -> Graph:
-    """The tree a code spells, the inverse of ``canonical_code``: the BFS
-    numbering of its rooted tree, children in code order.  Raises ValueError
-    unless ``code`` is one balanced group of the bytes ``(`` and ``)``."""
+def _code_edges(code: bytes) -> list[tuple[int, int]]:
+    """The edges of the tree a code spells, each (parent id, child id), in
+    the BFS numbering of its rooted tree, children in code order, so every
+    parent id is below its child's.  Raises ValueError unless ``code`` is
+    one balanced group of the bytes ``(`` and ``)``."""
     children: list[list[int]] = []
     stack: list[int] = []
     for ch in code:
@@ -203,7 +206,15 @@ def tree_from_code(code: bytes) -> Graph:
         for v in children[u]:
             edges.append((i, len(order)))
             order.append(v)
-    return Graph(len(order), edges)
+    return edges
+
+
+def tree_from_code(code: bytes) -> Graph:
+    """The tree a code spells, the inverse of ``canonical_code``: the BFS
+    numbering of its rooted tree, children in code order.  Raises ValueError
+    unless ``code`` is one balanced group of the bytes ``(`` and ``)``."""
+    edges = _code_edges(code)
+    return Graph(len(edges) + 1, edges)
 
 
 def tree_isomorphism_map(a: Graph, b: Graph):

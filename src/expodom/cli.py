@@ -21,10 +21,11 @@ Below that limit the cover search is exponential once gamma exceeds its
 counting bound: ``--no-ilp --no-lp`` takes 6 s on f1:13 (n = 43), 0.1 s on P3000.
 ``enumerate --n`` and the ``--nmax`` of ``verify`` and ``conjecture`` above
 ``enumeration.MAX_ORDER`` (22) exit 64 before any tree is composed: the
-trees themselves take about a second there, but a sweep of the per-tree
-checks over orders above it would run for hours.  ``family --nmax`` above
-``family.MAX_ORDER`` (20) and ``f1:<k>`` fixtures above ``graph.MAX_ORDER``
-vertices exit 64 before anything is built.
+codes take under a second there, and ``enumerate`` writes each graph6 line
+straight from its code with no ``Graph`` built (about 4 s at 22), but a
+sweep of the per-tree checks over orders above it would run for hours.
+``family --nmax`` above ``family.MAX_ORDER`` (20) and ``f1:<k>`` fixtures
+above ``graph.MAX_ORDER`` vertices exit 64 before anything is built.
 ``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run
 ``--jobs`` worker processes (default 1).
 """
@@ -36,7 +37,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .enumeration import enumerate_subcubic_trees
+from .enumeration import _subcubic_trees_cached
 from .family import generate_family, recognize, tau
 from .fixtures import get_fixture
 from .graph import (
@@ -48,7 +49,7 @@ from .graph import (
     format_edge_list,
     parse_edge_list,
 )
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6, graph6_from_code, parse_graph6
 from .harness import SCANS, SUITES, run_suite, search_counterexample
 from .lp import LP_ORDER_LIMIT, fractional_porous_number
 from .solvers import COVER_ORDER_LIMIT, domination_number, exponential_parameters
@@ -153,8 +154,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    for t in enumerate_subcubic_trees(args.n):
-        print(emit_graph6(t))
+    for code in _subcubic_trees_cached(args.n):
+        print(graph6_from_code(code))
     return EXIT_OK
 
 

@@ -30,9 +30,13 @@ n: a center branch of height h has a branch beside it at least as tall, of at
 least h + 1 vertices, and the center too, so s + h <= n - 2; a side of height
 h has the other side, also of height h, so s + h <= n - 1; and every branch
 deeper in the tree lies inside one of these, smaller in both size and
-height.  Representatives, the BFS-numbered trees of ``tree_from_code``, are
-built only for the order asked for, one at a time as the stream reaches
-them.  Orders above ``MAX_ORDER`` are refused before any tree is composed.
+height.  The multisets are drawn from the keys sorted by size, each only if
+its sizes fit the total, never by filtering every pair and triple.
+Representatives, the BFS-numbered trees of ``tree_from_code``, are built
+only for the order asked for, one at a time as the stream reaches them;
+``expodom enumerate`` builds none, writing each graph6 line from its code.
+Orders below 1 or above ``MAX_ORDER`` are refused before any tree is
+composed.
 The counts are still checked by independent oracles rather than by trusting
 the generator:
 
@@ -57,10 +61,11 @@ from .canon import _center_walk, tree_from_code
 from .graph import Graph
 
 # the largest tree order enumerated: 254,371 classes, composed in about
-# 0.7 s at 43 MB peak RSS (`count_subcubic_trees(22)`, Python 3.11, shared
-# 2-core x86 host); `enumerate --n 22` takes 13 s there, nearly all of it
-# building and printing the graph6 lines; the limit bounds the corpus of
-# every suite and scan, whose per-tree checks would run for hours above it
+# 0.3 s at 42 MB peak RSS (`count_subcubic_trees(22)`, Python 3.11, shared
+# 2-core x86 host); `enumerate --n 22` takes about 4 s there, nearly all of
+# it writing the graph6 lines straight from the codes; the limit bounds the
+# corpus of every suite and scan, whose per-tree checks would run for hours
+# above it
 MAX_ORDER = 22
 
 # the sorted canonical codes of each order composed so far; a concurrent fill
@@ -77,6 +82,23 @@ def _picks(table: dict, keys: tuple) -> Iterator[list[bytes]]:
         yield sorted(chain.from_iterable(pick))
 
 
+def _fits(keys: list, total: int, m: int, start: int = 0) -> Iterator[tuple]:
+    """Each multiset of ``m`` keys from ``keys[start:]`` (``(size, height)``
+    pairs sorted by size) whose sizes sum to ``total``, once, as a tuple of
+    nondecreasing index.  A key whose size times the parts still to draw
+    exceeds what is left ends the scan, since every later key is as large."""
+    for i in range(start, len(keys)):
+        size = keys[i][0]
+        if size * m > total:
+            return
+        if m == 1:
+            if size == total:
+                yield (keys[i],)
+        else:
+            for rest in _fits(keys, total - size, m - 1, i):
+                yield (keys[i], *rest)
+
+
 def _compose(n: int) -> tuple[bytes, ...]:
     """The sorted canonical codes of the subcubic trees of order n >= 2,
     spelled around their centers; no tree is built or walked."""
@@ -85,29 +107,29 @@ def _compose(n: int) -> tuple[bytes, ...]:
     # children, by (size, height)
     table: dict[tuple[int, int], list[bytes]] = {(1, 0): [b"()"]}
     for size in range(2, limit):
-        keys = list(table)
+        keys = sorted(table)
         for m in (1, 2):
-            for pick in combinations_with_replacement(keys, m):
+            for pick in _fits(keys, size - 1, m):
                 height = 1 + max(h for _, h in pick)
-                if sum(s for s, _ in pick) == size - 1 and size + height <= limit:
+                if size + height <= limit:
                     table.setdefault((size, height), []).extend(
                         b"(" + b"".join(kids) + b")" for kids in _picks(table, pick)
                     )
-    keys = list(table)
+    keys = sorted(table)
     trees: list[bytes] = []
     # one center: two or three branches, the two tallest of equal height
     for m in (2, 3):
-        for pick in combinations_with_replacement(keys, m):
+        for pick in _fits(keys, n - 1, m):
             heights = sorted(h for _, h in pick)
-            if sum(s for s, _ in pick) == n - 1 and heights[-1] == heights[-2]:
+            if heights[-1] == heights[-2]:
                 trees.extend(
                     b"(" + b"".join(kids) + b")" for kids in _picks(table, pick)
                 )
     # two centers: two sides of equal height, coded from the center of the
     # larger side b, with the smaller side a as its first child
-    for pick in combinations_with_replacement(keys, 2):
-        (s, h), (t, k) = pick
-        if s + t == n and h == k:
+    for pick in _fits(keys, n, 2):
+        (_, h), (_, k) = pick
+        if h == k:
             trees.extend(b"(" + a + b[1:] for a, b in _picks(table, pick))
     return tuple(sorted(trees))
 
@@ -118,18 +140,19 @@ def _check_order(n: int) -> None:
 
 
 def _subcubic_trees_cached(n: int) -> tuple[bytes, ...]:
-    """The sorted canonical codes of the classes of order n, composed once."""
+    """The sorted canonical codes of the classes of order n, composed once;
+    ValueError for an order below 1 or above ``MAX_ORDER``."""
+    if n < 1:
+        raise ValueError("tree order must be at least 1")
     _check_order(n)
-    if n >= 2 and n not in _CODES:
+    if n not in _CODES:
         _CODES[n] = _compose(n)
-    return _CODES.get(n, ())
+    return _CODES[n]
 
 
 def enumerate_subcubic_trees(n: int) -> Iterator[Graph]:
     """One canonical representative per isomorphism class, sorted by code,
     each built from its code as the stream reaches it."""
-    if n < 1:
-        raise ValueError("tree order must be at least 1")
     return map(tree_from_code, _subcubic_trees_cached(n))
 
 

@@ -4,12 +4,17 @@ After the order prefix, bit ``col*(col-1)//2 + row`` stands for the pair
 (row, col) with row < col: the upper triangle read column by column.  The
 bits are packed six to a character, first bit highest, plus 63.  Both
 directions touch only the set bits, one per edge, never the whole triangle.
+One packer writes them from (row, col) pairs: ``emit_graph6`` reads the
+pairs off a ``Graph``'s adjacency, and ``graph6_from_code`` off the BFS edge
+list of a canonical tree code, each parent id below its child's, so
+enumeration prints a tree's line without building the tree.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
+from .canon import _code_edges
 from .graph import MAX_ORDER, Graph, ParseError
 
 _HEADER = ">>graph6<<"
@@ -17,9 +22,9 @@ _HEADER = ">>graph6<<"
 _TO_TEXT = bytes(range(63, 127)).ljust(256, b"\0")
 
 
-def emit_graph6(g: Graph) -> str:
-    """Encode a graph in graph6: order prefix, then upper-triangle bits."""
-    n = g.n
+def _pack(n: int, pairs) -> str:
+    """graph6 of the order-n graph whose edges are ``pairs``, each (row, col)
+    with row < col; the order is checked before a pair is read."""
     if n > MAX_ORDER:
         raise ValueError(f"graph6 output capped at {MAX_ORDER} vertices, got {n}")
     if n <= 62:
@@ -29,14 +34,31 @@ def emit_graph6(g: Graph) -> str:
             chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0)
         )
     body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for row, col in pairs:
+        i = col * (col - 1) // 2 + row
+        body[i // 6] |= 32 >> (i % 6)
+    return prefix + body.translate(_TO_TEXT).decode("ascii")
+
+
+def _upper_pairs(g: Graph):
     for col, row_list in enumerate(g.adj):
-        base = col * (col - 1) // 2
         for row in row_list:  # sorted, so the rows below col come first
             if row >= col:
                 break
-            i = base + row
-            body[i // 6] |= 32 >> (i % 6)
-    return prefix + body.translate(_TO_TEXT).decode("ascii")
+            yield row, col
+
+
+def emit_graph6(g: Graph) -> str:
+    """Encode a graph in graph6: order prefix, then upper-triangle bits."""
+    return _pack(g.n, _upper_pairs(g))
+
+
+def graph6_from_code(code: bytes) -> str:
+    """``emit_graph6(tree_from_code(code))``, written straight from the
+    code's BFS edge list with no ``Graph`` built; the same ValueError for a
+    malformed code."""
+    edges = _code_edges(code)
+    return _pack(len(edges) + 1, edges)
 
 
 def parse_graph6(text: str) -> Graph:

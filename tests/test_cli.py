@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import expodom
+from expodom import canon, enumeration
 from expodom.cli import SIZE_GUARD, main
+from expodom.enumeration import MAX_ORDER as ENUM_MAX_ORDER, enumerate_subcubic_trees
 from expodom.family import MAX_ORDER as FAMILY_MAX_ORDER
 from expodom.graph import (
     MAX_ORDER,
@@ -195,6 +197,40 @@ def test_enumerate_pinned_stdout(capsys, n):
     code, out, err = run_cli(capsys, "enumerate", "--n", str(n))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ENUMERATE_DIGESTS[n]
+
+
+def test_enumerate_order_one(capsys):
+    assert run_cli(capsys, "enumerate", "--n", "1") == (0, "@\n", "")
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_enumerate_order_below_one_is_a_usage_error(capsys, n):
+    assert run_cli(capsys, "enumerate", "--n", n) == (
+        64, "", "expodom: tree order must be at least 1\n"
+    )
+
+
+def test_enumerate_order_above_the_limit_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(ENUM_MAX_ORDER + 1))
+    assert (code, out) == (64, "")
+    assert err == (
+        f"expodom: tree order {ENUM_MAX_ORDER + 1} is above the enumeration "
+        f"limit {ENUM_MAX_ORDER}\n"
+    )
+
+
+def test_enumerate_builds_no_graph(capsys, monkeypatch):
+    # each line is written from its tree's code: with every way to build a
+    # Graph refused, and the codes composed afresh, the output is unchanged
+    want = "".join(emit_graph6(t) + "\n" for t in enumerate_subcubic_trees(12))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a Graph")
+
+    monkeypatch.setattr(canon, "tree_from_code", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    monkeypatch.setattr(enumeration, "_CODES", {1: (b"()",)})
+    assert run_cli(capsys, "enumerate", "--n", "12") == (0, want, "")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from expodom.canon import canonical_code, tree_from_code
@@ -71,6 +73,38 @@ def test_counts_match_otter():
         assert count_subcubic_trees(n) == otter_class_count(n)
 
 
+# sha256 of each order's canonical codes, joined by newlines, taken from the
+# composer that filtered every key pair and triple by its size sum
+PINNED_CODE_DIGESTS = {
+    1: "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+    2: "de9e2a5ed8504ad8453f7fa8e4e58b69af1d51b613e8219bd1f32847bd7cf804",
+    3: "d8ac1470c02d63b8dbd097b60aec0670c302b885c0053848600aebee1b452e58",
+    4: "228652572d2994c017af3aa2dd74c7030d58269b707150c509ab2a0c9953f522",
+    5: "a4574b3ddb38183fce0adcafcaf202685ab4fda2f2ce5f076b06ffa9137848d9",
+    6: "929755c41e8053e4b73e2328ae84b7b0f75fcdc2f6d19c861fcd5023dce454ec",
+    7: "e8c7d6442f06f4bc8a43ed267d2dd0e4d4a122155ef7e2e40f08f53c1af35e9b",
+    8: "f427f7d3bb1a11ec0b78abe788a3a69ed6a06242cb24ea4fa684996aef5c77d5",
+    9: "cf3232096b5e963dc9c9e384beb73c0b19c3e30b3d61c3a8f3b034e7c71a9453",
+    10: "e90c728ce48462730682e11d328c1a53398f67c91d9ae8851c2b845282552d2f",
+    11: "9327c650d7d519bdbb0f218fb2688db3e4a7d422a840ba7827692238c704ecd9",
+    12: "9f616272a444ea571c4d2169dfd390006470bda783130f995a1013d36b25520b",
+    13: "295b8c4dfd5ec6335b8c431d712fcf8ece503175b7a23d620027f57fff5edc0f",
+    14: "b3a16acab164df0985c70a9bd8622e8eef906134b352a6839e1bfdb106d451f4",
+    15: "1fdaab5d376a20ebaaa3c96e0b6b9dcfafe5ec0a6f2d66ee4a96b72ac7e0702e",
+    16: "f061198160d96af3e6db5a716758c642b478c6cb1d157e369ed3d9be389f33c1",
+    17: "cf9dbb344af37bd59a65d3736c82f827a1d983f051bf58798e459dcda5f00dee",
+    18: "3dadaa0150f73aae03bbc5499d5cfda06229635cd4185ba78a674799cdc257c5",
+    19: "00b6da6792eb91fc273dae76a749f9122313acf648be685aded4b0ab52dd9dc4",
+    20: "44b21cf4773b7254888c52b0a4e816e0d2d795dd06bd06490b7a0a3204646ab4",
+}
+
+
+def test_composed_codes_pinned():
+    for n, want in PINNED_CODE_DIGESTS.items():
+        digest = hashlib.sha256(b"\n".join(_subcubic_trees_cached(n)))
+        assert digest.hexdigest() == want, n
+
+
 def test_codes_are_canonical_distinct_and_complete():
     # canonical, strictly increasing and as many as Otter counts: together
     # they pin the exact set of classes, not only its size
@@ -128,6 +162,14 @@ def test_labeled_count_small_by_enumeration():
 def test_rejects_non_positive_order():
     with pytest.raises(ValueError):
         list(enumerate_subcubic_trees(0))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_codes_and_counts_reject_orders_below_one(n):
+    # the check sits with the codes, which enumerate prints from directly
+    for read in (_subcubic_trees_cached, count_subcubic_trees):
+        with pytest.raises(ValueError, match="tree order must be at least 1"):
+            read(n)
 
 
 def test_counts_against_networkx():

@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
+from expodom.canon import canonical_code, tree_from_code
 from expodom.graph import MAX_ORDER, Graph, ParseError, path, star
-from expodom.graph6 import emit_graph6, parse_graph6
-from expodom.enumeration import trees_up_to
+from expodom.graph6 import emit_graph6, graph6_from_code, parse_graph6
+from expodom.enumeration import _subcubic_trees_cached, trees_up_to
 
 from _oracles import graphs, random_subcubic_graph, random_subcubic_tree
 
@@ -98,3 +99,29 @@ def test_round_trip_long_prefix_trees():
         text = emit_graph6(g)
         assert text[0] == "~"
         assert parse_graph6(text) == g
+
+
+def test_graph6_from_code_matches_the_built_tree():
+    # every class of orders 1-16, then codes of seeded random trees; from
+    # order 63 on the order takes the four-byte prefix
+    codes = [c for n in range(1, 17) for c in _subcubic_trees_cached(n)]
+    rng = random.Random(28)
+    codes += [
+        canonical_code(random_subcubic_tree(rng, n)) for n in (17, 25, 40, 63, 64, 300)
+    ]
+    for code in codes:
+        assert graph6_from_code(code) == emit_graph6(tree_from_code(code)), code
+    assert graph6_from_code(codes[-1])[0] == "~"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [b"", b"(", b")", b"(()", b"())", b")(", b"()()", b"(())()", b"(x)",
+     b"[]", "()", b"( )", b"()(", b"()x"],
+)
+def test_graph6_from_code_rejects_malformed_codes_like_tree_from_code(code):
+    with pytest.raises(ValueError) as built:
+        tree_from_code(code)
+    with pytest.raises(ValueError) as written:
+        graph6_from_code(code)
+    assert str(written.value) == str(built.value)
