@@ -3,9 +3,13 @@
 All searches are exhaustive with pruning, never heuristic:
 
 * classical and restricted domination run a lexicographic depth-first
-  cover search over closed-neighborhood bitmasks with suffix-union pruning;
-  domination with a forced vertex x is restricted domination of V - N[x]
-  plus x;
+  cover search over closed-neighborhood bitmasks.  A target can be covered
+  only by a pick at or before the last candidate in its closed
+  neighborhood, and picks go in increasing order, so the next pick lies at
+  or before the least such position over the targets still missing; with
+  the mask bits numbered in that order, the bound is read off the lowest
+  missing bit.  It cuts only subtrees that hold no cover.  Domination with
+  a forced vertex x is restricted domination of V - N[x] plus x;
 * the exponential parameters read one stream per component,
   ``_porous_leaves``: every porous-feasible set (the rows of
   ``weights.porous_rows``, summed as the set grows), one size at a time
@@ -36,7 +40,9 @@ suffix maxima after it), so a child costs one add, one and and one
 compare, and ``most[s][v]`` (s suffix maxima after v).  Every later
 child's ``reach`` is at most ``most[s][v]`` field by field, so when child
 v fails and ``w + most[s][v]`` fails too, the loop ends there: the exit
-skips only children that would fail their own prune.
+skips only children that would fail their own prune.  Each level is one
+generator that walks an explicit stack, one entry per pick made: its
+position and the weight before it.
 
 Witnesses are therefore always the lexicographically smallest optimum set,
 and every witness is re-checked against its own predicate, in the kernel's
@@ -102,19 +108,9 @@ def _certify(ok: bool, what: str) -> None:
 # -- classical domination: bitmask cover search ------------------------------
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    masks = []
-    for v in range(g.n):
-        m = 1 << v
-        for u in g.adj[v]:
-            m |= 1 << u
-        masks.append(m)
-    return masks
-
-
-# ``_min_cover`` keeps one closed-neighborhood mask per vertex and one suffix
-# union per candidate, Python ints of up to n bits each: about 1.5 * n**2
-# bits in all, 48 MB at this order.  ``compute`` refuses larger graphs.
+# ``_min_cover`` keeps one mask per candidate and one set of missing targets
+# per pick on its stack, Python ints of up to n bits each: at most 2 * n**2
+# bits in all, 64 MB at this order.  ``compute`` refuses larger graphs.
 COVER_ORDER_LIMIT = 16384
 
 
@@ -122,45 +118,62 @@ def _min_cover(g: Graph, targets) -> tuple[int, tuple[int, ...]]:
     """Smallest D with targets inside D or N(D), lexicographically first.
 
     A vertex whose closed neighborhood holds no target is in no minimum
-    cover, so it is never tried."""
-    closed = _closed_masks(g)
-    required = 0
-    for v in targets:
-        required |= 1 << v
-    candidates = [v for v in range(g.n) if closed[v] & required]
+    cover, so it is never tried.  Target u can only be covered by a pick at
+    a candidate position up to ``hi[u]``, the last candidate in N[u]; the
+    picks go in increasing position, so the next pick lies at or before the
+    least ``hi`` over the uncovered targets.  The mask bits number the
+    targets in ``hi`` order, so that bound is ``hi`` of the lowest bit
+    still missing."""
+    adj = g.adj
+    tset = sorted(set(targets))
+    is_candidate = [False] * g.n
+    for u in tset:
+        for w in (u, *adj[u]):
+            is_candidate[w] = True
+    candidates = [v for v in range(g.n) if is_candidate[v]]
+    last_of = [0] * g.n
+    for i, v in enumerate(candidates):
+        for u in (v, *adj[v]):
+            last_of[u] = i
+    tset.sort(key=last_of.__getitem__)
+    hi = [last_of[u] for u in tset]
+    bit = [-1] * g.n
+    for b, u in enumerate(tset):
+        bit[u] = b
+    masks = []
+    for v in candidates:
+        mask = 0
+        for u in (v, *adj[v]):
+            if bit[u] >= 0:
+                mask |= 1 << bit[u]
+        masks.append(mask)
     m = len(candidates)
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | closed[candidates[i]]
-    best_gain = max(c.bit_count() for c in closed) if closed else 1
+    required = (1 << len(tset)) - 1
+    best_gain = max((mask.bit_count() for mask in masks), default=1)
 
     def dfs(slots: int):
         """First cover with at most ``slots`` picks, in lexicographic order
         of candidate positions; depth-first with an explicit stack."""
-        picked: list[tuple[int, int]] = []  # (position, covered before it)
+        # per pick: (its position, the targets missing before it, the last
+        # position its depth may take)
+        picked: list[tuple[int, int, int]] = []
         pos = 0  # first position the next pick may take
-        covered = 0
+        missing = required
         while True:
-            missing = required & ~covered
             if missing == 0:
-                return tuple(candidates[i] for i, _ in picked)
+                return tuple(candidates[i] for i, _, _ in picked)
             left = slots - len(picked)
-            last = m - left  # last position that leaves room for the rest
-            if (
-                not left
-                or missing & ~suffix[pos]
-                or missing.bit_count() > left * best_gain
-            ):
+            if not left or missing.bit_count() > left * best_gain:
                 last = -1  # pruned: no pick is tried at this depth
+            else:
+                last = min(m - left, hi[(missing & -missing).bit_length() - 1])
             while pos > last:  # this depth is exhausted: back up one pick
                 if not picked:
                     return None
-                pos, covered = picked.pop()
+                pos, missing, last = picked.pop()
                 pos += 1
-                left += 1
-                last = m - left
-            picked.append((pos, covered))
-            covered |= closed[candidates[pos]]
+            picked.append((pos, missing, last))
+            missing &= ~masks[pos]
             pos += 1
 
     for size in range(-(-required.bit_count() // best_gain), m + 1):
@@ -420,29 +433,47 @@ def _porous_leaves(g: Graph):
     reach = [None]
     most = [None]
 
-    def level(start: int, slots: int, w: int, chosen):
-        """The feasible sets that extend ``chosen`` by ``slots`` vertices
-        from ``start`` on, below a node that passed the prune."""
-        fits, bound = reach[slots], most[slots]
-        if slots > 1:
-            rest = slots - 1
-            for v in range(start, n - rest):
-                if (w + fits[v]) & top == top:
-                    yield from level(v + 1, rest, w + prow[v], (*chosen, v))
-                elif (w + bound[v]) & top != top:
-                    return
-            return
-        for v in range(start, n):
-            if (w + fits[v]) & top == top:
-                yield (*chosen, v)
-            elif (w + bound[v]) & top != top:
+    def level(k: int):
+        """The feasible k-sets in lexicographic order: a depth-first walk
+        over a stack that holds, per pick, its position and the weight
+        before it."""
+        full, add = top, prow  # locals: the loop reads them per child
+        tables = [(reach[k - d], most[k - d], n - k + d + 1) for d in range(k)]
+        last = k - 1
+        picks, weights = [0] * k, [0] * k
+        depth = v = w = 0
+        fits, bound, end = tables[0]
+        while True:
+            for v in range(v, end):
+                if (w + fits[v]) & full == full:
+                    break
+                if (w + bound[v]) & full != full:
+                    v = end  # no later child can pass
+                    break
+            else:
+                v = end
+            if v < end:  # child v passed its prune
+                picks[depth] = v
+                if depth == last:
+                    yield tuple(picks)
+                    v += 1
+                    continue
+                weights[depth] = w
+                w += add[v]
+                depth += 1
+            elif depth:  # this depth is exhausted: back up one pick
+                depth -= 1
+                v, w = picks[depth], weights[depth]
+            else:
                 return
+            v += 1
+            fits, bound, end = tables[depth]
 
     for k in range(1, n + 1):
         reach.append([prow[v] + (k - 1) * psuf[v + 1] + bias for v in range(n)])
         most.append([k * psuf[v + 1] + bias for v in range(n)])
         if (k * psuf[0] + bias) & top == top:
-            yield k, level(0, k, 0, ())
+            yield k, level(k)
 
 
 # Readers of one component's stream: each returns one (k, sets) per

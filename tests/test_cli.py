@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -543,6 +544,35 @@ def test_porous_certificate_error_exit_under_optimize():
     assert done.returncode == 70, done.stderr
     assert done.stderr.startswith(
         "expodom: certificate check failed: gamma_e_star witness"
+    )
+
+
+def test_main_registers_the_exit_freeze_once(capsys, monkeypatch):
+    # repeated in-process calls stack no atexit handlers, and nothing is
+    # frozen before the process exits
+    from expodom import cli
+
+    registered = []
+    monkeypatch.setattr(cli, "_freeze_registered", False)
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    frozen = gc.get_freeze_count()
+    for _ in range(3):
+        assert main(["compute", "--fixture", "f1:1", "--no-lp"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert registered == [gc.freeze]
+    assert gc.get_freeze_count() == frozen
+
+
+def test_cold_compute_prints_through_the_exit_freeze():
+    # the heap is frozen at exit, after main returns: stdout still arrives
+    # whole, and the exit is clean
+    done = run_python("-m", "expodom.cli", "compute", "--fixture", "f2")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (
+        '{"n": 22, "gamma": 7, "gamma_witness": [0, 2, 3, 9, 10, 16, 17], '
+        '"gamma_e": 6, "gamma_e_witness": [2, 3, 9, 10, 16, 17], '
+        '"gamma_e_star": 4, "gamma_e_star_witness": [0, 1, 8, 15], '
+        '"gamma_ef_star": {"num": "4", "den": "1"}}\n'
     )
 
 

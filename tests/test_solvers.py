@@ -219,6 +219,23 @@ def _cover_search_matches_brute_force(g):
         )
 
 
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=8).flatmap(
+    lambda g: st.tuples(st.just(g), st.integers(0, (1 << g.n) - 1))
+))
+@example((Graph(0), 0))
+@example((Graph(5, [(0, 1), (2, 3)]), 0b10101))
+def test_restricted_domination_matches_brute_force(case):
+    # any target set, given as a bit mask: the same value and the same
+    # lexicographically first witness as the brute-force scan
+    g, mask = case
+    targets = [v for v in range(g.n) if mask >> v & 1]
+    cert = restricted_domination_number(g, targets)
+    assert (cert.value, cert.witness) == brute_minimum(
+        g, lambda h, c: is_restricted_dominating(h, c, targets)
+    )
+
+
 def test_cover_search_matches_brute_force_on_trees():
     for t in trees_up_to(9):
         _cover_search_matches_brute_force(t)
@@ -426,6 +443,31 @@ def test_exponential_parameters_pinned_values():
         )
         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == PINNED_SEARCH_DIGEST
+
+
+# sha256 over the value and witness of gamma, the value and witness of
+# restricted domination on a seeded target set, and the forced value at every
+# vertex, on _search_corpus() and fixture_f1(1..8), computed with the earlier
+# cover search that pruned by suffix unions alone.  Equal digests mean the
+# same optima and the same lexicographically first witnesses.
+PINNED_COVER_DIGEST = "c481e76924fae872abb897c74fd9b86379e37e5037b096e7ed358841594760f1"
+
+
+def test_cover_search_pinned_values():
+    digest = hashlib.sha256()
+    rng = random.Random(2929)
+    for g in _search_corpus() + [fixture_f1(k) for k in range(1, 9)]:
+        gamma = domination_number(g)
+        targets = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+        restricted = restricted_domination_number(g, targets)
+        forced = [domination_with_forced_vertex(g, x) for x in range(g.n)]
+        line = " ".join(
+            [emit_graph6(g), str(gamma.value), repr(gamma.witness), "|",
+             repr(targets), str(restricted.value), repr(restricted.witness), "|",
+             repr(forced)]
+        )
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == PINNED_COVER_DIGEST
 
 
 @settings(max_examples=80, deadline=None)
