@@ -40,12 +40,11 @@ in the tests.
 
 The public guards memoize their values under the rooted code of the
 guarded vertex, ``rooted_code(g, x)``, so isomorphic copies share them.
-Called without a key, as ``recognize`` calls them, the guards walk it
-themselves, and that walk is the tree check, since the canon walk raises
-NotTreeError on any other graph; a caller that passes the key leaves the
-tree check to itself, but not the range check.  ``_memo`` fills ``_TAU``,
-``_GAMMA_E`` (read only by ``tau``) and ``_RECOGNIZE``; one classical DP
-run fills ``_GAMMA``, ``_FORCED`` and ``_RESTRICTED`` together.
+Computing that key is the tree check and the range check, since the canon
+walk raises NotTreeError on any other graph and ValueError on a vertex out
+of range.  ``_memo`` fills ``_TAU``, ``_GAMMA_E`` (read only by ``tau``)
+and ``_RECOGNIZE``; one classical DP run fills ``_GAMMA``, ``_FORCED`` and
+``_RESTRICTED`` together.
 Generation fills none of them: no two of its reads share a rooted code
 except within one tree, whose ``_TreeGuards`` holds every value.
 """
@@ -206,8 +205,7 @@ def tau(g: Graph, x: int) -> TauResult:
 
 def _subcubic(g: Graph, key: bytes) -> bytes:
     """``key``, a canonical or rooted code of g, once g is known subcubic:
-    computing the key already checked that g is a tree.  A guard given its
-    key by the caller leaves that check to it (see ``_guard``)."""
+    computing the key already checked that g is a tree."""
     if g.max_degree() > 3:
         raise NotSubcubicError("growth operations keep trees subcubic")
     return key
@@ -413,31 +411,26 @@ def _fits_triple(values, w: int) -> bool:
 _FITS = {1: _fits_leaf, 2: _fits_pair, 3: _fits_triple}
 
 
-def _guard(op: int, g: Graph, x: int, key: bytes | None) -> bool:
+def _guard(op: int, g: Graph, x: int) -> bool:
     """``_FITS[op]`` at x, once g is known to be a subcubic tree and x one
-    of its vertices.  Computing the key is the tree check; a guard given its
-    key by the caller leaves that check to it, but not the range check."""
-    if key is None:
-        key = rooted_code(g, x)
-    elif not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    _subcubic(g, key)
+    of its vertices.  Computing the key is the tree and the range check."""
+    key = _subcubic(g, rooted_code(g, x))
     return g.degree(x) < 3 and _FITS[op](_RootedAt(g, x, key), x)
 
 
-def op1_applicable(g: Graph, x: int, key: bytes | None = None) -> bool:
+def op1_applicable(g: Graph, x: int) -> bool:
     """Leaf attachment at x: x must lie in some minimum dominating set."""
-    return _guard(1, g, x, key)
+    return _guard(1, g, x)
 
 
-def op2_applicable(g: Graph, x: int, key: bytes | None = None) -> bool:
+def op2_applicable(g: Graph, x: int) -> bool:
     """Two-vertex path at x: tau(x) > 1, or excusing x from domination helps."""
-    return _guard(2, g, x, key)
+    return _guard(2, g, x)
 
 
-def op3_applicable(g: Graph, w: int, key: bytes | None = None) -> bool:
+def op3_applicable(g: Graph, w: int) -> bool:
     """Three-vertex path at w: tau(w) > 1/2."""
-    return _guard(3, g, w, key)
+    return _guard(3, g, w)
 
 
 _APPLICABLE = {1: op1_applicable, 2: op2_applicable, 3: op3_applicable}

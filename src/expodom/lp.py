@@ -165,9 +165,10 @@ def _tight_solution(rows, rhs: int) -> tuple[list[int], int] | None:
 
 
 # The exact LP grows as about n**6 on paths by either route: the tight
-# route, eliminating the upper triangle only, takes 1.6 s on path(80) and
-# 6 s on path(100), the simplex 3.0 and 11 s (one core of a shared x86
-# host), and path(2000) runs out of memory.  ``compute`` refuses larger
+# route, eliminating the upper triangle only, takes 1.2 s on path(80) and
+# 4.7 s on path(100), the simplex (``solve_exact``) 3.2-3.5 and 13-14 s
+# (one core of a shared 2-core x86 host, Python 3.11), and path(2000) runs
+# out of memory.  ``compute`` refuses larger
 # graphs unless forced.  It reads these routes on trees too, while
 # ``tree_porous_number`` takes path(10**4) in 0.07-0.09 s (same host).
 LP_ORDER_LIMIT = 100

@@ -9,18 +9,6 @@ identity every entry is a minor of the starting tableau, so the division is
 exact, and T[i][j] / den is the entry of the usual normalized tableau.  No
 gcd runs inside the pivot loop.
 
-Rows are rescaled lazily.  Row i is stored as S[i] over its own denominator
-dens[i], the pivot that last changed it, and T[i] = S[i] * den / dens[i].
-A pivot leaves a row whose pivot-column entry is 0 as it is, and writes a
-changed row as (p*S[i] - S[i][c]*T[r]) // dens[i], which equals
-(p*T[i] - T[i][c]*T[r]) // den.  The deferred factor is positive, so the
-sign tests, the ratio test (both terms of a ratio come from one row),
-Bland's tie-break and the drive-out's zero test read stored rows as they
-are, and x is S[i][-1] / dens[i].  A row is brought to den only where it
-pivots or where phase 2 builds its objective from it; the objective row is
-kept over den, apart from phase 1's after a drive-out pivot, which nothing
-reads: phase 2 builds a new one.
-
 Integer input is used as it is.  Otherwise the inputs become integers by
 one uniform scaling: A and b by the lcm L of their denominators, c by the
 lcm M of its denominators.  A positive uniform scaling keeps the sign of
@@ -88,25 +76,12 @@ def _scaled_rows(a, b) -> tuple[list[list[int]], int]:
     return [[q.numerator * (k // q.denominator) for q in row] for row in rows], k
 
 
-def _current(tab, dens, i) -> list[int]:
-    """Row i brought over the common denominator ``dens[-1]``."""
-    den = dens[-1]
-    if dens[i] != den:
-        tab[i] = [v * den // dens[i] for v in tab[i]]
-        dens[i] = den
-    return tab[i]
+def _pivot(tab, obj, basis, den, pr, pc) -> int:
+    """Integer-preserving pivot on (pr, pc); returns the new den, p.
 
-
-def _pivot(tab, obj, basis, dens, pr, pc) -> None:
-    """Integer-preserving pivot on (pr, pc).
-
-    ``dens[i]`` is the denominator row i is stored over, and ``dens[-1]``
-    the common one, over which ``obj`` is kept; the pivot makes it p.  A
-    drive-out pivot may leave ``obj`` off the new den: phase 2 rebuilds it
-    before anything reads it.
+    Every other row, and the objective row, becomes (p*a - f*b) // den.
     """
-    den = dens[-1]
-    row = _current(tab, dens, pr)
+    row = tab[pr]
     p = row[pc]
     if p < 0:
         # Only the drive-out of a zero-level artificial pivots on a negative
@@ -116,23 +91,21 @@ def _pivot(tab, obj, basis, dens, pr, pc) -> None:
         tab[pr] = row
         p = -p
     for i, other in enumerate(tab):
-        f = other[pc]
-        if f and i != pr:
-            d = dens[i]
-            tab[i] = [(p * a - f * b) // d for a, b in zip(other, row)]
-            dens[i] = p
+        if i != pr:
+            f = other[pc]
+            tab[i] = [(p * a - f * b) // den for a, b in zip(other, row)]
     f = obj[pc]
-    if f:
-        obj[:] = [(p * a - f * b) // den for a, b in zip(obj, row)]
-    dens[pr] = dens[-1] = p
+    obj[:] = [(p * a - f * b) // den for a, b in zip(obj, row)]
     basis[pr] = pc
+    return p
 
 
-def _run(tab, obj, basis, dens, enterable) -> str:
+def _run(tab, obj, basis, den, enterable) -> tuple[str, int]:
     """Pivot until optimal or unbounded; Bland's rule on both choices.
 
-    Ratios row[-1] / row[enter] do not depend on the row's denominator, so
-    the ratio test compares them by cross-multiplying the stored entries.
+    Returns the status and the final den.  Ratios row[-1] / row[enter]
+    share the denominator den, so the ratio test compares them by
+    cross-multiplying the entries.
     """
     while True:
         enter = -1
@@ -141,7 +114,7 @@ def _run(tab, obj, basis, dens, enterable) -> str:
                 enter = j
                 break
         if enter < 0:
-            return "optimal"
+            return "optimal", den
         leave = -1
         for i, row in enumerate(tab):
             coef = row[enter]
@@ -154,16 +127,16 @@ def _run(tab, obj, basis, dens, enterable) -> str:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, best_rhs, best_coef = i, row[-1], coef
         if leave < 0:
-            return "unbounded"
-        _pivot(tab, obj, basis, dens, leave, enter)
+            return "unbounded", den
+        den = _pivot(tab, obj, basis, den, leave, enter)
 
 
-def _primal(tab, basis, dens, n) -> list[Fraction]:
-    """x off the final tableau: basic variable i is S[i][-1] / dens[i]."""
+def _primal(tab, basis, den, n) -> list[Fraction]:
+    """x off the final tableau: basic variable i is T[i][-1] / den."""
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = Fraction(tab[i][-1], dens[i])
+            x[bi] = Fraction(tab[i][-1], den)
     return x
 
 
@@ -191,11 +164,10 @@ def solve_min_geq(a, b, c) -> SimplexSolution:
         row[n:n] = [0] * m
         row[n + i] = -1
     basis = [n + m + i for i in range(m)]
-    dens = [1] * (m + 1)
 
     # phase 1: drive the artificial variables to zero
     obj = [-sum(col) for col in zip(*tab)]
-    status = _run(tab, obj, basis, dens, range(n + m))
+    status, den = _run(tab, obj, basis, 1, range(n + m))
     if status != "optimal" or obj[-1] != 0:
         return SimplexSolution("infeasible")
 
@@ -204,23 +176,22 @@ def solve_min_geq(a, b, c) -> SimplexSolution:
         if basis[i] >= n + m:
             for j in range(n + m):
                 if tab[i][j] != 0:
-                    _pivot(tab, obj, basis, dens, i, j)
+                    den = _pivot(tab, obj, basis, den, i, j)
                     break
             # a fully-zero row is redundant; its artificial stays basic at 0
 
     # phase 2: true objective, artificial columns barred from entering
     cost, big_m = _scaled(c)
-    obj = [dens[-1] * v for v in cost] + [0] * (m + 1)
+    obj = [den * v for v in cost] + [0] * (m + 1)
     for i, bi in enumerate(basis):
         f = cost[bi] if bi < n else 0
         if f:
-            obj = [o - f * t for o, t in zip(obj, _current(tab, dens, i))]
-    status = _run(tab, obj, basis, dens, range(n + m))
+            obj = [o - f * t for o, t in zip(obj, tab[i])]
+    status, den = _run(tab, obj, basis, den, range(n + m))
     if status != "optimal":
         return SimplexSolution(status)
 
-    x = _primal(tab, basis, dens, n)
-    den = dens[-1]
+    x = _primal(tab, basis, den, n)
     y = [Fraction(obj[n + i] * big_l, den * big_m) for i in range(m)]
     return SimplexSolution("optimal", x, y, Fraction(-obj[-1], den * big_m))
 
@@ -241,13 +212,12 @@ def solve_max_leq(a, b, c) -> SimplexSolution:
     # maximize c.x == minimize (-c).x
     cost, big_m = _scaled(c)
     obj = [-v for v in cost] + [0] * (m + 1)
-    dens = [1] * (m + 1)
-    status = _run(tab, obj, basis, dens, range(n + m))
+    status, den = _run(tab, obj, basis, 1, range(n + m))
     if status != "optimal":
         return SimplexSolution(status)
-    x = _primal(tab, basis, dens, n)
+    x = _primal(tab, basis, den, n)
     # obj[-1] / den tracks minus the minimized (-c).x, i.e. the maximized value
-    return SimplexSolution("optimal", x, None, Fraction(obj[-1], dens[-1] * big_m))
+    return SimplexSolution("optimal", x, None, Fraction(obj[-1], den * big_m))
 
 
 def check_min_geq(a, b, c, sol: SimplexSolution) -> None:

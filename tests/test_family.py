@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from expodom import family
-from expodom.canon import canonical_code, rooted_codes, tree_isomorphism_map
+from expodom.canon import canonical_code, tree_isomorphism_map
 from expodom.enumeration import trees_up_to
 from expodom.family import (
     OperationNotApplicable,
@@ -319,14 +319,6 @@ def test_guards_reject_vertices_out_of_range(guard, x):
 
 
 @pytest.mark.parametrize("guard", GUARDS)
-@pytest.mark.parametrize("x", [-1, 3, 5])
-def test_keyed_guards_reject_vertices_out_of_range(guard, x):
-    # a key does not lift the range check
-    with pytest.raises(ValueError, match=f"vertex {x} out of range"):
-        guard(path(3), x, b"(())")
-
-
-@pytest.mark.parametrize("guard", GUARDS)
 def test_guards_on_the_empty_graph_need_a_tree(guard):
     with pytest.raises(NotTreeError):
         guard(Graph(0), 0)
@@ -366,23 +358,14 @@ def _fresh_memos(monkeypatch):
 
 
 def test_guards_given_their_keys_agree_with_the_keyless_path(monkeypatch):
-    # every verdict is memoized under its key, so a wrong key would hand one
-    # tree's verdict to another rooted tree sharing the memo
-    sites = [
-        (t, x, key) for t in trees_up_to(11) for x, key in enumerate(rooted_codes(t))
+    # every verdict is memoized under the rooted code the guard computes, so
+    # a wrong key would hand one tree's verdict to another rooted tree
+    # sharing the memo and move these counts
+    _fresh_memos(monkeypatch)
+    verdicts = [
+        guard(t, x) for t in trees_up_to(11) for x in range(t.n) for guard in GUARDS
     ]
-
-    def verdicts(keyed: bool) -> list[bool]:
-        _fresh_memos(monkeypatch)
-        return [
-            guard(t, x, key) if keyed else guard(t, x)
-            for t, x, key in sites
-            for guard in GUARDS
-        ]
-
-    keyed = verdicts(True)
-    assert keyed == verdicts(False)
-    assert Counter(keyed) == Counter({False: 1850, True: 2458})
+    assert Counter(verdicts) == Counter({False: 1850, True: 2458})
 
 
 def test_generation_walks_each_tree_once(monkeypatch):

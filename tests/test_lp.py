@@ -264,12 +264,20 @@ def test_tight_route_runs_no_simplex(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("g6", ["Ds_", "DmO"])  # star(4), and star(4) plus a leaf-leaf edge
+# connected, 47 edges, maximum degree 4; its tight x has 9 negative entries
+ORDER_40 = (
+    "gsHA?CCA?AO??C??a?A????_C????O_?C@????_?G????_???G??O?????A????@???C?AG"
+    "?????C??_???_??G??AA??@?????C??@?????O????AO??_?AG???????@??"
+)
+
+
+# star(4), star(4) plus a leaf-leaf edge, and a fallback LP of size 40
+@pytest.mark.parametrize("g6", ["Ds_", "DmO", pytest.param(ORDER_40, id="order40")])
 def test_negative_entry_falls_back_once(monkeypatch, g6):
     g = parse_graph6(g6)
     rows, rhs = lp._integer_rows(g)
     x = solve_square(rows, rhs)
-    assert x is not None and min(x) < 0  # nonsingular, one entry negative
+    assert x is not None and min(x) < 0  # nonsingular, an entry negative
     assert lp._tight_solution(rows, rhs) is None
     want = solve_exact(build_porous_lp(g)).objective
     calls = _simplex_spy(monkeypatch)
