@@ -2,7 +2,13 @@
 domination, porous exponential domination, and the fractional porous
 relaxation of graphs."""
 
-from .canon import canonical_code, rooted_code, tree_isomorphism_map
+from .canon import (
+    canonical_code,
+    pendant_path_code,
+    rooted_code,
+    rooted_codes,
+    tree_isomorphism_map,
+)
 from .enumeration import enumerate_subcubic_trees, trees_up_to
 from .family import (
     OpStep,

@@ -13,13 +13,17 @@ order, and lists its edges in the same BFS, each parent before its child.
 ``tree_from_code``, the inverse of ``canonical_code``, builds the canonical
 representative ``tree_from_code(canonical_code(g))`` from that list, and
 ``graph6.graph6_from_code`` writes the same tree's graph6 from it with no
-``Graph`` built.  The centers are found inside the walk and are not
-exported.
-``rooted_codes`` gives ``rooted_code(g, v)`` for every vertex v from one
-walk: rerooted top-down, each child's branch towards its parent (its "up"
-code, built from the parent's other branches) sorts in among its own.
-``pendant_path_code`` codes a tree grown by a pendant path from the smaller
-tree's adjacency, with no ``Graph`` built.  Family generation reads both.
+``Graph`` built.  The centers are found inside the walk; only
+``TreeCodes`` keeps them.
+``TreeCodes`` gives ``rooted_code(g, v)`` for every vertex v from one walk
+from g's centers (``rooted_codes``): rerooted top-down, each child's branch
+towards its parent (its "up" code, built from the parent's other branches)
+sorts in among its own.  From the same tables it reads the canonical code
+of g grown by a pendant path at any vertex, with no walk and no ``Graph``
+(``pendant_path_code``): the grown tree's centers lie on the parent chain
+from the attach vertex or on the new path, so only the branches along that
+chain are rebuilt.  Family generation reads both from one ``TreeCodes``
+per tree.
 The same codes order every vertex's children for explicit isomorphism maps
 between trees; ``enumeration`` reads automorphism counts off the codes.
 """
@@ -100,49 +104,115 @@ def rooted_code(g: Graph, root: int) -> bytes:
     return _walk(g.adj, [root])[1][root]
 
 
-def rooted_codes(g: Graph) -> list[bytes]:
-    """``rooted_code(g, v)`` for every vertex v, byte for byte, from one walk.
+class TreeCodes:
+    """Every rooted code of the tree g from one walk, and the canonical code
+    of each tree g grows by a pendant path, read off the same walk.
 
-    The walk from vertex 0 gives each vertex's downward code; a top-down
-    pass then gives each child v the "up" code of its parent's other
-    branches, which sorts in among v's own branches.  Raises NotTreeError
-    unless g is a tree, the empty graph included."""
-    if not g.n:
-        raise NotTreeError("not a tree: the graph is empty")
-    adj = g.adj
-    parent, down = _walk(adj, [0])
-    up = [b""] * g.n  # up[v]: code of the branch at parent[v] away from v
-    codes = [b""] * g.n
-    stack = [0]
-    while stack:
-        u = stack.pop()
+    The walk runs from g's centers (``_center_walk``), which gives each
+    vertex its parent, its depth below its center and its downward code.  A
+    top-down pass then gives each vertex v its "up" code, the branch at its
+    parent away from v, built from the parent's other branches; a second
+    center's up code is the other center's half.  ``codes[v]`` is
+    ``rooted_code(g, v)``.  Raises NotTreeError unless g is a tree, the
+    empty graph included."""
+
+    def __init__(self, g: Graph):
+        adj = g.adj
+        _, root, parent, down = _center_walk(adj)
+        self.centers = [root] if parent[root] < 0 else [root, parent[root]]
+        up = [b""] * g.n  # up[v]: code of the branch at parent[v] away from v
+        depth = [0] * g.n
+        codes = [b""] * g.n
+        stack = list(self.centers)
+        if len(stack) == 2:
+            a, b = stack
+            up[a], up[b] = down[b], down[a]
+        while stack:
+            u = stack.pop()
+            p = parent[u]
+            branches = []
+            for v in adj[u]:
+                branches.append(up[u] if v == p else down[v])
+            branches.sort()
+            codes[u] = b"(" + b"".join(branches) + b")"
+            below = depth[u] + 1
+            for v in adj[u]:
+                if v != p:
+                    rest = branches.copy()
+                    del rest[bisect_left(rest, down[v])]
+                    up[v] = b"(" + b"".join(rest) + b")"
+                    depth[v] = below
+                    stack.append(v)
+        self.adj, self.parent, self.depth = adj, parent, depth
+        self.down, self.up, self.codes = down, up, codes
+        self.radius = max(depth)  # the diameter is 2 * radius + centers - 1
+
+    def grown(self, attach: int, length: int) -> bytes:
+        """``canonical_code(add_pendant_path(g, attach, length))``, for a
+        vertex ``attach`` of g and a ``length`` of at least 0.
+
+        A tree's code is its rooted code at its center, the lesser of the
+        two at two centers.  The grown tree keeps g's diameter, and so its
+        centers, unless the path from the new path's end through ``attach``
+        and attach's center down to g's radius is longer.  Then that path is
+        a longest one, and the centers lie at its middle: on the new path,
+        or on the parent chain from ``attach`` up to its center.  Either way
+        only the branches along that chain change."""
+        d = self.depth[attach]
+        if length + d <= self.radius:
+            steps = range(d, d + len(self.centers))
+        else:  # twice the middle's distance up from attach; below 0 on the path
+            twice = d + self.radius + len(self.centers) - 1 - length
+            steps = {twice // 2, (twice + 1) // 2}
+        return min(self._grown_rooted(attach, length, s) for s in steps)
+
+    def _grown_rooted(self, attach: int, length: int, step: int) -> bytes:
+        """The grown tree's rooted code at the vertex ``step`` edges up the
+        parent chain from ``attach``, or, for a negative step, -step edges
+        down the new path.  Up the chain, each vertex's branch away from the
+        next one is rebuilt from the one below it and its other children;
+        every other branch is one of g's codes."""
+        if step < 0:  # a chain down to attach, and the rest of the path
+            j = -step
+            towards = b"(" * (j - 1) + self.codes[attach] + b")" * (j - 1)
+            beyond = b"(" * (length - j) + b")" * (length - j)
+            return b"(" + b"".join(sorted((towards, beyond))) + b")"
+        adj, parent, down = self.adj, self.parent, self.down
+        branch = b"(" * length + b")" * length  # the new path, hung from attach
+        prev, u = -1, attach
+        for _ in range(step):
+            p = parent[u]
+            branches = [branch]
+            for v in adj[u]:
+                if v != prev and v != p:
+                    branches.append(down[v])
+            branches.sort()
+            branch = b"(" + b"".join(branches) + b")"
+            prev, u = u, p
         p = parent[u]
-        branches = sorted([up[u] if v == p else down[v] for v in adj[u]])
-        codes[u] = b"(" + b"".join(branches) + b")"
+        branches = [branch]
         for v in adj[u]:
-            if v != p:
-                rest = branches.copy()
-                del rest[bisect_left(rest, down[v])]
-                up[v] = b"(" + b"".join(rest) + b")"
-                stack.append(v)
-    return codes
+            if v != prev:
+                branches.append(self.up[u] if v == p else down[v])
+        branches.sort()
+        return b"(" + b"".join(branches) + b")"
+
+
+def rooted_codes(g: Graph) -> list[bytes]:
+    """``rooted_code(g, v)`` for every vertex v, byte for byte, from one
+    walk (``TreeCodes``).  Raises NotTreeError unless g is a tree, the empty
+    graph included."""
+    return TreeCodes(g).codes
 
 
 def pendant_path_code(g: Graph, attach: int, length: int) -> bytes:
     """``canonical_code(add_pendant_path(g, attach, length))``, read off
-    g's adjacency plus the path, with no ``Graph`` built."""
+    g's rooted codes (``TreeCodes.grown``), with no ``Graph`` built."""
     if not 0 <= attach < g.n:
         raise ValueError(f"attach vertex {attach} out of range")
     if length < 0:
         raise ValueError("path length must be non-negative")
-    adj = list(g.adj)
-    prev = attach
-    for new in range(g.n, g.n + length):
-        adj[prev] = (*adj[prev], new)
-        adj.append((prev,))
-        prev = new
-    return _center_walk(adj)[0]
-
+    return TreeCodes(g).grown(attach, length)
 
 def _center_walk(adj):
     """The walk from the tree's centers, plus the canonical root and code:

@@ -25,8 +25,9 @@ f1:16 (n = 52) and 0.12 s on P3000.
 codes take under a second there, and ``enumerate`` writes each graph6 line
 straight from its code with no ``Graph`` built (about 4 s at 22), but a
 sweep of the per-tree checks over orders above it would run for hours.
-``family --nmax`` above ``family.MAX_ORDER`` (20) and ``f1:<k>`` fixtures
-above ``graph.MAX_ORDER`` vertices exit 64 before anything is built.
+``family --nmax`` above ``family.MAX_ORDER`` (20; about 6.5 s there) and
+``f1:<k>`` fixtures above ``graph.MAX_ORDER`` vertices exit 64 before
+anything is built.
 ``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run
 ``--jobs`` worker processes (default 1).
 """

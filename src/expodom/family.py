@@ -33,10 +33,26 @@ public guards, which ``recognize`` calls, root both DPs at the guarded
 vertex.  Both read the same three verdicts (``_FITS``), and every value a
 guard reads is backed by a witness re-checked in explicit code: gamma's and
 gamma_e's once per DP run, a forced, restricted or tau witness at each
-vertex where the value is read.  ``tau`` keeps its enumeration for the
-``tau`` command's witness (the first set in enumeration order to reach the
+vertex where the value is read.  A classical witness is read back from the
+DP's choices at each read and checked with closed-neighbourhood bitmasks:
+its size, whether it holds x, and the OR of its members' masks against the
+targets' mask (``solvers._dom_witness``).  A tau witness is evaluated anew
+by ``_tau_of_set``, one blocked BFS per member and one from x.  A
+rerooted tau(x) is the least need over the product of x's branch
+frontiers, the last product scanned with no frontier sort
+(``_least_need``).  ``tau`` keeps its enumeration for the ``tau``
+command's witness (the first set in enumeration order to reach the
 minimum) and for graphs with cycles; with the searches, it judges the DPs
 in the tests.
+
+``generate_family`` walks each tree it grows from once, by
+``canon.TreeCodes``: the walk from its centers gives each vertex's
+downward code, its depth and its parent, and a top-down pass its up code
+and rooted code, which is the vertex's orbit key.  Each grown tree's
+canonical code is read off those tables: only the branches on the parent
+chain from the attach vertex to the grown tree's centers change
+(``TreeCodes.grown``).  So no grown tree is walked, and only new members
+are built.
 
 The public guards memoize their values under the rooted code of the
 guarded vertex, ``rooted_code(g, x)``, so isomorphic copies share them.
@@ -57,10 +73,9 @@ from itertools import combinations
 from typing import Iterator, NamedTuple
 
 from .canon import (
+    TreeCodes,
     canonical_code,
-    pendant_path_code,
     rooted_code,
-    rooted_codes,
     tree_from_code,
     tree_isomorphism_map,
 )
@@ -226,6 +241,31 @@ def _frontier(states: list) -> list:
     return kept
 
 
+def _merged(partial: list, states: list) -> list:
+    """The combined states (k, M, -T, mask) over one more branch of a vertex
+    outside D (``_vertex_states``): each of ``partial`` with each of the
+    branch's ``states``."""
+    return [  # max(m, 2 * need - neg_out), without the call
+        (k + kc, m if m > 2 * need - neg_out else 2 * need - neg_out,
+         neg_t + neg_out, mask | mc)
+        for k, m, neg_t, mask in partial
+        for kc, need, neg_out, mc in states
+    ]
+
+
+def _outside(below: list, one: int) -> list:
+    """The combined states (k, M, -T, mask) of a vertex outside D over the
+    frontiers ``below`` of all its branches (``_merged``), kept to a
+    frontier after each branch but the last.  A state that another matches
+    or beats in k, M and -T is beaten in k, need and -out too, so the
+    frontier or the least need that each reader takes drops it: a sort of
+    the last product would be wasted."""
+    partial = [(0, one, 0, 0)]
+    for states in below[:-1]:
+        partial = _frontier(_merged(partial, states))
+    return _merged(partial, below[-1]) if below else partial
+
+
 def _vertex_states(v: int, below: list, one: int):
     """v's subtree states from its children's frontiers ``below``: those
     with v outside D, and the cheapest with v in D.
@@ -235,22 +275,19 @@ def _vertex_states(v: int, below: list, one: int):
     outside, and sends ``out`` up, in units where weight 1 is ``one``.  With
     v outside D, children are combined through (k, M, -T, mask), T the sum
     of their outs and M the largest 2 * need_i + out_i (at least ``one``,
-    which v itself needs): need = max(0, M - T), out = T / 2.  With v in D,
-    v blocks everything: need = 0, out = ``one``, and each child, which
-    receives exactly ``one`` from v, takes its cheapest state with need_i at
-    most ``one``."""
-    partial = [(0, one, 0, 0)]
+    which v itself needs): need = max(0, M - T), out = T / 2
+    (``_outside``).  With v in D, v blocks everything: need = 0, out =
+    ``one``, and each child, which receives exactly ``one`` from v, takes
+    its cheapest state with need_i at most ``one``."""
     k_in, mask_in = 1, 1 << v
     for states in below:
-        partial = _frontier([
-            (k + kc, max(m, 2 * need - neg_out), neg_t + neg_out, mask | mc)
-            for k, m, neg_t, mask in partial
-            for kc, need, neg_out, mc in states
-        ])
         kc, _, _, mc = min(s for s in states if s[1] <= one)
         k_in += kc
         mask_in |= mc
-    free = [(k, max(0, m + neg_t), neg_t // 2, mask) for k, m, neg_t, mask in partial]
+    free = [
+        (k, m + neg_t if m + neg_t > 0 else 0, neg_t // 2, mask)
+        for k, m, neg_t, mask in _outside(below, one)
+    ]
     return free, (k_in, 0, -one, mask_in)
 
 
@@ -260,7 +297,8 @@ def _down_frontiers(order: list, children: list, one: int):
     fronts: list = [None] * len(order)
     for v in reversed(order):
         free, held = _vertex_states(v, [fronts[u] for u in children[v]], one)
-        fronts[v] = _frontier(free + [held])
+        # a leaf's two states, need one or held, are a frontier already
+        fronts[v] = _frontier(free + [held]) if children[v] else free + [held]
     return fronts, (free, held)
 
 
@@ -277,12 +315,24 @@ def _certified_gamma_e(g: Graph, states: list) -> int:
     return gamma_e
 
 
-def _certified_tau(g: Graph, x: int, free: list, gamma_e: int, one: int) -> Fraction:
-    """tau(x), the least need over the states of x outside D (``free``, at
-    x as the root) with k below gamma_e, once its witness is checked:
+def _least_need(branches: list, one: int, limit: int) -> tuple[int, int, int]:
+    """(need, k, mask), least in that order, over the states of a vertex
+    outside D with k below ``limit``, from the frontiers of all its
+    branches (``_outside``): the need of ``_vertex_states``' free states,
+    with no free list or held state built."""
+    return min(
+        (m + neg_t if m + neg_t > 0 else 0, k, mask)
+        for k, m, neg_t, mask in _outside(branches, one)
+        if k < limit
+    )
+
+
+def _certified_tau(g: Graph, x: int, least: tuple, one: int) -> Fraction:
+    """tau(x), the least need ``least`` = (need, k, mask) over the states
+    of x outside D with k below gamma_e, once its witness is checked:
     ``_tau_of_set`` of the set, k vertices without x, is exactly its
     need."""
-    need, k, mask = min((s[1], s[0], s[3]) for s in free if s[0] < gamma_e)
+    need, k, mask = least
     cand = {v for v in range(g.n) if mask >> v & 1}
     value = None if x in cand or len(cand) != k else _tau_of_set(g, x, cand)
     _certify(
@@ -307,7 +357,8 @@ def _blocked_dp(g: Graph, x: int) -> tuple[int, Fraction]:
     one = 1 << (g.n + 1)
     _, (free, held) = _down_frontiers(order, children, one)
     gamma_e = _certified_gamma_e(g, free + [held])
-    return gamma_e, _certified_tau(g, x, free, gamma_e, one)
+    least = min((need, k, mask) for k, need, _, mask in free if k < gamma_e)
+    return gamma_e, _certified_tau(g, x, least, one)
 
 
 class _TreeGuards(TreeDomination):
@@ -353,8 +404,8 @@ class _TreeGuards(TreeDomination):
 
     def tau(self, x: int) -> Fraction:
         if x not in self.taus:
-            free, _ = _vertex_states(x, self._around(x), self.one)
-            self.taus[x] = _certified_tau(self.g, x, free, self._blocked[1], self.one)
+            least = _least_need(self._around(x), self.one, self._blocked[1])
+            self.taus[x] = _certified_tau(self.g, x, least, self.one)
         return self.taus[x]
 
 
@@ -539,8 +590,8 @@ def recognize(g: Graph) -> OpTrace | None:
     return found[0] if found else None
 
 
-# Generation time grows about fourfold every two orders from 16 on: 0.13 /
-# 0.31 / 0.85 / 4.0 / 19 s at 12 / 14 / 16 / 18 / 20 vertices (cold
+# Generation time grows about fourfold every two orders from 16 on: 0.073 /
+# 0.14 / 0.43 / 1.6 / 6.5 s at 12 / 14 / 16 / 18 / 20 vertices (cold
 # commands, medians of three, on a shared 2-core host whose speed varies by
 # up to 2x); order 20 has 13,732 members and peaks at 37 MB.
 MAX_ORDER = 20
@@ -550,10 +601,10 @@ def generate_family(n_max: int) -> Iterator[Graph]:
     """All family members with at most n_max vertices, one per isomorphism
     class, sorted by order then canonical code.
 
-    Each tree an operation still fits on is walked once, by
-    ``rooted_codes``, whose codes are the orbit keys, and its guard values
-    are read from one ``_TreeGuards``.  A grown tree's code is read off its parent's
-    adjacency (``pendant_path_code``): only new members are built."""
+    Each tree an operation still fits on is walked once, by ``TreeCodes``,
+    whose rooted codes are the orbit keys, and its guard values are read
+    from one ``_TreeGuards``.  A grown tree's code is read off its parent's
+    codes (``TreeCodes.grown``): only new members are built."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if n_max > MAX_ORDER:
@@ -568,8 +619,9 @@ def generate_family(n_max: int) -> Iterator[Graph]:
         if g.n + 1 > n_max:  # no operation fits
             continue
         values = _TreeGuards(g)
+        codes = TreeCodes(g)
         tried: set[bytes] = set()
-        for x, orbit in enumerate(rooted_codes(g)):
+        for x, orbit in enumerate(codes.codes):
             if g.degree(x) >= 3 or orbit in tried:
                 continue
             tried.add(orbit)
@@ -578,7 +630,7 @@ def generate_family(n_max: int) -> Iterator[Graph]:
                     break
                 if not _FITS[op](values, x):
                     continue
-                code = pendant_path_code(g, x, op)
+                code = codes.grown(x, op)
                 if code not in members:
                     members[code] = tree_from_code(code)
                     queue.append(members[code])

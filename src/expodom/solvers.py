@@ -56,7 +56,8 @@ states per vertex (in the set; outside it and dominated by a child; outside
 it and not yet dominated) yield all three values from one run.  Its
 witnesses are read back from the DP's choices, so they need not be the
 lexicographically smallest; each is re-checked, with its size, like a
-search's.  ``TreeDomination`` reroots the same DP: from one down pass and
+search's, as one OR of closed-neighbourhood bitmasks against the targets'
+mask.  ``TreeDomination`` reroots the same DP: from one down pass and
 one up pass it gives every vertex's forced and restricted values, each
 witness read back and re-checked when its value is read.  The family guards
 read both; ``compute`` and the suites keep the searches, which judge them
@@ -235,16 +236,22 @@ def _dom_costs(branches, skip: int = -1) -> tuple[int, int, int]:
     return a, ab + extra, c
 
 
-def _dom_witness(g: Graph, x: int, state: int, value: int, kids, costs) -> tuple:
-    """Read back the set behind x's cost ``value`` in ``state`` (0, 1, 2 for
-    a, b, c), each branch taking the state its parent's recurrence chose, and
-    re-check it, with its size, against what the state promises: a
-    dominating set holding x, a dominating set without x, a set without x
-    dominating all of V - {x}.  ``kids`` and ``costs`` are the tree hung
-    from x: each vertex's children, and the costs of each vertex's subtree.
-    Returns the set."""
+def _closed_masks(g: Graph) -> list[int]:
+    """Each vertex's closed neighbourhood as a bitmask, bit u for vertex u."""
+    closed = [1 << v for v in range(g.n)]
+    for v, adj in enumerate(g.adj):
+        for u in adj:
+            closed[v] |= 1 << u
+    return closed
+
+
+def _dom_readback(x: int, state: int, kids, costs) -> list[int]:
+    """The vertices behind x's cost in ``state`` (0, 1, 2 for a, b, c), each
+    branch taking the state its parent's recurrence chose.  ``kids`` and
+    ``costs`` are the tree hung from x: each vertex's children, and the
+    costs of each vertex's subtree."""
     chosen = []
-    states = [0] * g.n
+    states = [0] * len(kids)
     states[x] = state
     stack = [x]
     while stack:
@@ -273,15 +280,32 @@ def _dom_witness(g: Graph, x: int, state: int, value: int, kids, costs) -> tuple
         else:
             for u in below:
                 states[u] = 1
-    dset = tuple(sorted(chosen))
-    targets = [v for v in range(g.n) if v != x or state < 2]
+    return chosen
+
+
+def _dom_witness(closed, x: int, state: int, value: int, kids, costs) -> tuple:
+    """Read back the set behind x's cost ``value`` in ``state``
+    (``_dom_readback``) and re-check it, with its size, against what the
+    state promises: a dominating set holding x, a dominating set without x,
+    a set without x dominating all of V - {x}.  ``closed`` holds each
+    vertex's closed neighbourhood as a bitmask (``_closed_masks``): the set
+    dominates a target exactly when the OR of its members' masks covers the
+    target's bit.  Returns the set, sorted."""
+    chosen = _dom_readback(x, state, kids, costs)
+    members = cover = 0
+    for v in chosen:
+        members |= 1 << v
+        cover |= closed[v]
+    targets = (1 << len(closed)) - 1
+    if state == 2:
+        targets ^= 1 << x
     _certify(
-        len(dset) == value
-        and (x in dset) == (state == 0)
-        and is_restricted_dominating(g, dset, targets),
+        len(chosen) == value
+        and (members >> x & 1) == (state == 0)
+        and cover & targets == targets,
         f"tree witness of root state {'abc'[state]} breaks its promise",
     )
-    return dset
+    return tuple(sorted(chosen))
 
 
 def tree_domination(
@@ -322,10 +346,13 @@ def tree_domination(
         ("gamma_forced", 0),
         ("gamma_restricted", root.index(min(root))),
     )
+    closed = _closed_masks(g)
     sets = {}
     for _, state in picks:
         if state not in sets:
-            sets[state] = _dom_witness(g, x, state, root[state], children, costs)
+            sets[state] = _dom_witness(
+                closed, x, state, root[state], children, costs
+            )
     return tuple(DomCertificate(p, root[s], sets[s]) for p, s in picks)
 
 
@@ -365,7 +392,8 @@ class TreeDomination:
         self._down, self._up, self._full = down, up, full
         a, b, _ = full[0]
         self.gamma = min(a, b)
-        _dom_witness(g, 0, 0 if a <= b else 1, self.gamma, children, down)
+        self._closed = _closed_masks(g)
+        _dom_witness(self._closed, 0, 0 if a <= b else 1, self.gamma, children, down)
 
     def _witness(self, x: int, state: int) -> int:
         """x's cost in ``state``, once its witness is read back and checked
@@ -383,7 +411,7 @@ class TreeDomination:
                 costs[v] = self._up[below]
             below, v = v, p
         value = self._full[x][state]
-        _dom_witness(self.g, x, state, value, kids, costs)
+        _dom_witness(self._closed, x, state, value, kids, costs)
         return value
 
     def forced(self, x: int) -> int:

@@ -3,7 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from expodom.canon import (
     canonical_code,
@@ -214,6 +214,20 @@ def test_pendant_path_code_matches_the_built_tree():
             for length in range(4):
                 grown = add_pendant_path(t, x, length)
                 assert pendant_path_code(t, x, length) == canonical_code(grown)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2**32))
+@example(1, 0)
+@example(2, 0)
+def test_pendant_path_code_matches_on_random_trees(n, seed):
+    # read off g's codes: the grown tree's centers on g's parent chain from
+    # the attach vertex, or on the new path itself
+    g = random_subcubic_tree(random.Random(seed), n)
+    for x in range(n):
+        for length in range(4):
+            grown = add_pendant_path(g, x, length)
+            assert pendant_path_code(g, x, length) == canonical_code(grown)
 
 
 def test_pendant_path_code_checks_its_input():

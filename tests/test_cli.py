@@ -382,6 +382,7 @@ def test_family_generate(capsys):
 PINNED_FAMILY_DIGESTS = {
     12: "b654d8a0eb1518723670c13ea02763575f49470502a5c44d131ff0df941d5df2",
     14: "f98ec9e247d841d5d655f4e7022905cd1f50f42c8d6ffd9dfd2363e9c590e876",
+    16: "1566e819f617420962f8dfca8a861759c68e898dbb1cadb3a43cfecbf6f9b300",
 }
 
 

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 from hypothesis import example, given, settings
 
-from expodom import family
+from expodom import canon, family
 from expodom.canon import canonical_code, tree_isomorphism_map
 from expodom.enumeration import trees_up_to
 from expodom.family import (
@@ -381,11 +381,28 @@ def test_generation_walks_each_tree_once(monkeypatch):
         monkeypatch.setattr(family, name, wrapper)
 
     spy("rooted_code")
-    spy("rooted_codes")
+    spy("TreeCodes")
     members = list(generate_family(12))
-    # no rooted_code walk at all; one rooted_codes per popped tree an
+    # no rooted_code walk at all; one TreeCodes per popped tree an
     # operation still fits on, none for the order-12 members
     assert walked == Counter(
-        {("rooted_codes", canonical_code(t)): 1 for t in members if t.n < 12}
+        {("TreeCodes", canonical_code(t)): 1 for t in members if t.n < 12}
     )
     assert sum(walked.values()) == 84
+
+
+def test_generation_codes_grown_trees_with_no_walk(monkeypatch):
+    # every canon walk of generation: one per popped tree (its TreeCodes) and
+    # one for P_1; each grown tree's code is read off its parent's codes.  A
+    # walk per grown tree would add the 457 grown codes of order 12
+    walks = Counter()
+    real = canon._walk
+
+    def spy(adj, roots):
+        walks[len(adj)] += 1
+        return real(adj, roots)
+
+    monkeypatch.setattr(canon, "_walk", spy)
+    members = list(generate_family(12))
+    assert sum(walks.values()) == 85
+    assert walks == Counter(t.n for t in members if t.n < 12) + Counter({1: 1})

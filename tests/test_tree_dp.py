@@ -227,6 +227,37 @@ def test_a_forged_forced_witness_raises(forge):
         values.forced(0)
 
 
+# each read of path(5) at vertex 0, given a TreeDomination built before the
+# read-back was tampered with; the gamma witness is read as one is built
+_READS = {
+    "gamma": lambda values: TreeDomination(path(5)),
+    "forced": lambda values: values.forced(0),
+    "restricted": lambda values: values.restricted(0),
+    "tree_domination": lambda values: tree_domination(path(5), 0),
+}
+
+
+@pytest.mark.parametrize("tamper", ["drop", "move"])
+@pytest.mark.parametrize("read", sorted(_READS))
+def test_a_tampered_read_back_raises(monkeypatch, read, tamper):
+    # every read at vertex 0 of path(5) reads back {0, 3}.  Dropping 3
+    # breaks the size; moving it to 4 keeps the size and leaves vertex 2
+    # outside every chosen closed neighbourhood, so the masks' OR misses it
+    values = TreeDomination(path(5))
+    real = solvers._dom_readback
+    assert sorted(real(0, 0, values.children, values._down)) == [0, 3]
+
+    def tampered(*args):
+        chosen = real(*args)
+        if tamper == "drop":
+            return [v for v in chosen if v != 3]
+        return [4 if v == 3 else v for v in chosen]
+
+    monkeypatch.setattr(solvers, "_dom_readback", tampered)
+    with pytest.raises(CertificateError):
+        _READS[read](values)
+
+
 def test_generation_runs_one_pass_of_each_dp_per_tree(monkeypatch):
     # one classical pass, rooted at vertex 0, per walked tree, and one
     # blocked down pass per tree that a two- or three-vertex path still
