@@ -11,10 +11,12 @@ without building a ``Graph``.  ``_code_edges`` is the one parser of a
 code: it numbers the tree a code spells in BFS order, children in code
 order, and lists its edges in the same BFS, each parent before its child.
 ``tree_from_code``, the inverse of ``canonical_code``, builds the canonical
-representative ``tree_from_code(canonical_code(g))`` from that list, and
+representative ``tree_from_code(canonical_code(g))`` from that list,
 ``graph6.graph6_from_code`` writes the same tree's graph6 from it with no
-``Graph`` built.  The centers are found inside the walk; only
-``TreeCodes`` keeps them.
+``Graph`` built, and ``_code_tree`` hangs the tree from its root as
+``graph.rooted_tree`` would, for the sweeps' tree LP.  The parser keeps
+its last parse, so a sweep item's graph6 and its check read one parse.
+The centers are found inside the walk; only ``TreeCodes`` keeps them.
 ``TreeCodes`` gives ``rooted_code(g, v)`` for every vertex v from one walk
 from g's centers (``rooted_codes``): rerooted top-down, each child's branch
 towards its parent (its "up" code, built from the parent's other branches)
@@ -247,36 +249,62 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     return code, order
 
 
-def _code_edges(code: bytes) -> list[tuple[int, int]]:
+_parsed: tuple = (None, ())  # the last code ``_code_edges`` parsed, and its edges
+
+
+def _code_edges(code: bytes) -> tuple[tuple[int, int], ...]:
     """The edges of the tree a code spells, each (parent id, child id), in
     the BFS numbering of its rooted tree, children in code order, so every
     parent id is below its child's.  Raises ValueError unless ``code`` is
-    one balanced group of the bytes ``(`` and ``)``."""
-    children: list[list[int]] = []
-    stack: list[int] = []
-    for ch in code:
-        if ch == 40:  # "("
-            if stack:
-                children[stack[-1]].append(len(children))
-            elif children:
-                raise ValueError("tree code has more than one root")
-            stack.append(len(children))
-            children.append([])
-        elif ch == 41 and stack:  # ")"
-            stack.pop()
-        else:
-            raise ValueError(f"malformed tree code {code!r}")
-    if stack or not children:
-        raise ValueError(f"unbalanced or empty tree code {code!r}")
+    one balanced group of the bytes ``(`` and ``)``.
+
+    It keeps its last parse, a tuple no caller can change: a sweep writes
+    an item's graph6 from the code and then checks the item, and both read
+    the one parse.
+    """
+    global _parsed
+    if code == _parsed[0]:
+        return _parsed[1]
+    # each vertex is the list of its children, nested as the code nests
+    # them; the holder ``top`` sits under the root, so a ")" too many pops it
+    top: list = []
+    stack = [top]
+    try:
+        for ch in code:
+            if ch == 40:  # "("
+                node: list = []
+                stack[-1].append(node)
+                stack.append(node)
+            elif ch == 41:  # ")"
+                stack.pop()
+            else:
+                raise ValueError(f"malformed tree code {code!r}")
+    except IndexError:  # a "(" or ")" after the holder was popped
+        raise ValueError(f"unbalanced tree code {code!r}") from None
+    if len(stack) != 1 or len(top) != 1:
+        raise ValueError(f"unbalanced, empty or many-rooted tree code {code!r}")
     # BFS from the root: the children of the i-th vertex reached get the
     # next free ids
     edges = []
-    order = [0]
-    for i, u in enumerate(order):
-        for v in children[u]:
+    order = top  # the root, then every vertex as the BFS reaches it
+    for i, node in enumerate(order):
+        for child in node:
             edges.append((i, len(order)))
-            order.append(v)
-    return edges
+            order.append(child)
+    _parsed = code, tuple(edges)
+    return _parsed[1]
+
+
+def _code_tree(code: bytes) -> tuple[range, list[list[int]]]:
+    """The tree a code spells, hung from its root as ``graph.rooted_tree``
+    hangs a tree, read off ``_code_edges``: ``(order, children)``, where
+    order is range(n), the BFS numbering, and every child id is above its
+    parent's."""
+    edges = _code_edges(code)
+    children: list[list[int]] = [[] for _ in range(len(edges) + 1)]
+    for v, u in edges:
+        children[v].append(u)
+    return range(len(children)), children
 
 
 def tree_from_code(code: bytes) -> Graph:

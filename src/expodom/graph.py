@@ -233,6 +233,25 @@ def rooted_tree(g: Graph, root: int) -> tuple[list[int], list[list[int]]]:
     return order, [[u for u in g.adj[v] if dist[u] > dist[v]] for v in range(g.n)]
 
 
+def rooted_tree_diameter(order, children) -> int:
+    """The diameter of a tree hung as ``rooted_tree`` gives it, leaves
+    first: the largest sum, over the vertices, of the two longest paths
+    down through two of its children (one, or none, at fewer children)."""
+    height = [0] * len(order)
+    best = 0
+    for v in reversed(order):
+        first = second = 0
+        for u in children[v]:
+            h = height[u] + 1
+            if h > first:
+                first, second = h, first
+            elif h > second:
+                second = h
+        height[v] = first
+        best = max(best, first + second)
+    return best
+
+
 def is_subcubic_tree(g: Graph) -> bool:
     return is_tree(g) and g.max_degree() <= 3
 

@@ -7,18 +7,28 @@ can be re-checked from their graph6 strings alone.  ``SUITES`` and ``SCANS``
 give each suite and scan a default order bound and a runner, and one function
 times and reports them all; a non-empty scan result is a finding, not a failure.
 
-A sweep item is ``(check, g6, g)``: it carries the graph its graph6 string
-names, so no sweep parses the graph6 it has just written, and a worker
-process unpickles the ``Graph`` instead.  Every check judges its graph
-alone: theorem4 flags an "extra hit" off the 3-star and a "no hit" on it.
-As lemma1 appends full binary trees, theorem3 appends ``fixture_f2``, which
-meets its premise (no enumerated tree up to order 12 does).  The equality
-checks (theorem3, theorem4, conjecture 2) search only when the LP value
-computed for their graph is an integer, never assuming Theorem 2.  The
-sweeps whose corpus holds only trees (theorem2, corollary1, theorem3,
-theorem4, corollary2 and conjecture 2) read that value from
-``tree_porous_number``; chain and theorem5 also sweep cycles and read
-``fractional_porous_number``.
+A sweep item is ``(check, g6, code)``: a canonical tree code from
+``enumeration``, built one order at a time as the sweep reaches it, never
+for the whole corpus at once.  Its graph6 and its check read one parse of
+the code (``canon._code_edges``), and a worker process receives the code.
+The cycles of chain and theorem5 and theorem3's ``fixture_f2``, which
+meets its premise (no enumerated tree up to order 12 does), ride the same
+sweep as ``(check, g6, g)`` with a ``Graph``, after the trees.  Every check
+judges its tree alone: theorem4 flags an "extra hit" off the 3-star and a
+"no hit" on it.  As lemma1 appends full binary trees, theorem3 appends f2.
+
+theorem2, corollary2, theorem3, theorem4 and conjecture 2 read the LP
+value off the code's rooted view (``canon._code_tree``) by
+``rooted_porous_number``, the core of ``tree_porous_number``, and
+corollary2 its diameter by ``rooted_tree_diameter``, with no ``Graph``
+built.  A check builds a ``Graph``, always by ``tree_from_code``, only to
+search or to name vertices: corollary1, conjecture 1, theorem1equiv and
+lemma1 on every tree, and the equality checks (theorem3, theorem4,
+conjecture 2) only when the LP value is an integer, never assuming
+Theorem 2; so vertex labels, witnesses and violation texts are those of
+the tree built from the code.  theorem4 and conjecture 2 compare the
+item's code with the codes of the known trees.  chain and theorem5 build
+every tree and read ``fractional_porous_number``.
 """
 
 from __future__ import annotations
@@ -27,10 +37,10 @@ import json
 import random
 import time
 from fractions import Fraction
-from itertools import chain, combinations
-from typing import Callable, Iterator, NamedTuple
+from itertools import combinations
+from typing import Callable, NamedTuple
 
-from .canon import canonical_code, tree_from_code, tree_isomorphism_map
+from .canon import _code_tree, canonical_code, tree_from_code, tree_isomorphism_map
 from .enumeration import (
     MAX_ORDER,
     _subcubic_trees_cached,
@@ -39,7 +49,6 @@ from .enumeration import (
     labeled_subcubic_tree_count,
     otter_class_count,
     pruefer_class_count,
-    trees_up_to,
 )
 from .family import recognize, replay_trace
 from .fixtures import (
@@ -54,14 +63,16 @@ from .graph import (
     degree_partition,
     delete_vertices,
     diameter,
+    rooted_tree_diameter,
     star,
 )
-from .graph6 import emit_graph6
+from .graph6 import emit_graph6, graph6_from_code
 from .lp import (
     bound_diameter,
     bound_order_degree,
     bound_subcubic_order,
     fractional_porous_number,
+    rooted_porous_number,
     tree_porous_number,
 )
 from .solvers import (
@@ -125,18 +136,35 @@ class Report:
         return json.dumps(self.to_json_obj())
 
 
-def _tree_cycle_corpus(n_max: int) -> Iterator[Graph]:
-    return chain(trees_up_to(n_max), map(cycle, range(3, n_max + 1)))
+def _cycles(n_max: int) -> list[Graph]:
+    return [cycle(n) for n in range(3, n_max + 1)]
 
 
-def _tree_f2_corpus(n_max: int) -> Iterator[Graph]:
-    return chain(trees_up_to(n_max), [fixture_f2()])
+def _f2(n_max: int) -> list[Graph]:
+    return [fixture_f2()]
+
+
+def _graph(tree) -> Graph:
+    """A sweep item's graph: an extra as it is, a tree code as
+    ``tree_from_code`` builds it."""
+    return tree if isinstance(tree, Graph) else tree_from_code(tree)
+
+
+def _tree_lp(tree) -> tuple[int, Fraction]:
+    """The order and the certified porous LP value of a tree given as a
+    ``Graph`` or by its code; a code is read off its rooted view, with no
+    ``Graph`` built."""
+    if isinstance(tree, Graph):
+        return tree.n, tree_porous_number(tree)
+    order, children = _code_tree(tree)
+    return len(order), rooted_porous_number(order, children)
 
 
 # -- per-instance checks (module level so worker processes can import them) --
 
 
-def _check_chain(g6: str, g: Graph) -> list[tuple]:
+def _check_chain(g6: str, tree) -> list[tuple]:
+    g = _graph(tree)
     lp = fractional_porous_number(g)
     ge, ges = (cert.value for cert in exponential_parameters(g))
     gam = domination_number(g).value
@@ -151,15 +179,16 @@ def _check_chain(g6: str, g: Graph) -> list[tuple]:
     ]
 
 
-def _check_theorem2(g6: str, g: Graph) -> list[tuple]:
-    lp = tree_porous_number(g)
-    want = Fraction(g.n + 2, 6)
+def _check_theorem2(g6: str, code: bytes) -> list[tuple]:
+    n, lp = _tree_lp(code)
+    want = Fraction(n + 2, 6)
     if lp == want:
         return []
     return [(g6, f"gamma_ef_star = {want}", str(lp))]
 
 
-def _check_corollary1(g6: str, g: Graph) -> list[tuple]:
+def _check_corollary1(g6: str, code: bytes) -> list[tuple]:
+    g = tree_from_code(code)
     lp = tree_porous_number(g)
     ge = exponential_domination_number(g).value
     if ge <= 2 * lp:
@@ -167,11 +196,12 @@ def _check_corollary1(g6: str, g: Graph) -> list[tuple]:
     return [(g6, f"gamma_e <= 2*gamma_ef_star = {2 * lp}", str(ge))]
 
 
-def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
-    lp = tree_porous_number(g)
+def _check_theorem3(g6: str, tree) -> list[tuple]:
+    _, lp = _tree_lp(tree)
     # the premise gamma_e_star = lp > 1; the search runs at an integer lp only
     if lp.denominator != 1 or lp <= 1:
         return []
+    g = _graph(tree)
     if porous_exponential_domination_number(g).value != lp:
         return []
     out: list[tuple] = []
@@ -220,10 +250,13 @@ def _check_theorem3(g6: str, g: Graph) -> list[tuple]:
     return out
 
 
-def _check_theorem4(g6: str, g: Graph) -> list[tuple]:
-    lp = tree_porous_number(g)
-    hit = lp.denominator == 1 and exponential_domination_number(g).value == lp
-    k13 = g.n == 4 and g.max_degree() == 3  # the 3-star, the one hit expected
+def _check_theorem4(g6: str, code: bytes) -> list[tuple]:
+    n, lp = _tree_lp(code)
+    hit = (
+        lp.denominator == 1
+        and exponential_domination_number(tree_from_code(code)).value == lp
+    )
+    k13 = n == 4 and code == canonical_code(star(3))  # the one hit expected
     if hit == k13:
         return []
     if k13:
@@ -231,7 +264,8 @@ def _check_theorem4(g6: str, g: Graph) -> list[tuple]:
     return [(g6, "gamma_e = gamma_ef_star only for the 3-star", "extra hit")]
 
 
-def _check_theorem5(g6: str, g: Graph) -> list[tuple]:
+def _check_theorem5(g6: str, tree) -> list[tuple]:
+    g = _graph(tree)
     lp = fractional_porous_number(g)
     d = diameter(g)
     out = []
@@ -241,18 +275,18 @@ def _check_theorem5(g6: str, g: Graph) -> list[tuple]:
     lb_order = bound_order_degree(g.n, 3, d)
     if lp < lb_order:
         out.append((g6, f"gamma_ef_star >= n/(2+3d) = {lb_order}", str(lp)))
-    out.extend(_corollary2_violations(g6, g, lp, d))
+    out.extend(_corollary2_violations(g6, g.n, lp, d))
     return out
 
 
-def _corollary2_violations(g6: str, g: Graph, lp: Fraction, d: int) -> list[tuple]:
-    float_bound = bound_subcubic_order(g.n)
+def _corollary2_violations(g6: str, n: int, lp: Fraction, d: int) -> list[tuple]:
+    float_bound = bound_subcubic_order(n)
     out = []
     if float(lp) < float_bound - 1e-9:
         out.append(
             (g6, f"gamma_ef_star >= {float_bound!r} (1e-9 slack)", str(float(lp)))
         )
-    exact = max(bound_diameter(d), bound_order_degree(g.n, 3, d))
+    exact = max(bound_diameter(d), bound_order_degree(n, 3, d))
     if lp < exact:
         out.append(
             (g6, f"gamma_ef_star >= max((d+3)/6, n/(2+3d)) = {exact}", str(lp))
@@ -260,12 +294,15 @@ def _corollary2_violations(g6: str, g: Graph, lp: Fraction, d: int) -> list[tupl
     return out
 
 
-def _check_corollary2(g6: str, g: Graph) -> list[tuple]:
-    lp = tree_porous_number(g)
-    return _corollary2_violations(g6, g, lp, diameter(g))
+def _check_corollary2(g6: str, code: bytes) -> list[tuple]:
+    order, children = _code_tree(code)
+    lp = rooted_porous_number(order, children)
+    d = rooted_tree_diameter(order, children)
+    return _corollary2_violations(g6, len(order), lp, d)
 
 
-def _check_lemma1(g6: str, g: Graph) -> list[tuple]:
+def _check_lemma1(g6: str, code: bytes) -> list[tuple]:
+    g = tree_from_code(code)
     out = []
     low = [u for u in range(g.n) if g.degree(u) <= 2]
     for size in range(0, min(3, g.n) + 1):
@@ -281,7 +318,8 @@ def _check_lemma1(g6: str, g: Graph) -> list[tuple]:
     return out
 
 
-def _check_theorem1equiv(g6: str, g: Graph) -> list[tuple]:
+def _check_theorem1equiv(g6: str, code: bytes) -> list[tuple]:
+    g = tree_from_code(code)
     trace = recognize(g)
     member = trace is not None
     gamma_eq = (
@@ -302,8 +340,8 @@ def _check_theorem1equiv(g6: str, g: Graph) -> list[tuple]:
     return out
 
 
-def _check_conjecture1(g6: str, g: Graph) -> list[tuple]:
-    ge, ges = (cert.value for cert in exponential_parameters(g))
+def _check_conjecture1(g6: str, code: bytes) -> list[tuple]:
+    ge, ges = (cert.value for cert in exponential_parameters(tree_from_code(code)))
     if 2 * ge <= 3 * ges:
         return []
     return [
@@ -312,14 +350,14 @@ def _check_conjecture1(g6: str, g: Graph) -> list[tuple]:
     ]
 
 
-def _check_conjecture2(g6: str, g: Graph) -> list[tuple]:
-    lp = tree_porous_number(g)
+def _check_conjecture2(g6: str, code: bytes) -> list[tuple]:
+    _, lp = _tree_lp(code)
     if lp.denominator != 1:
         return []
-    ges = porous_exponential_domination_number(g).value
+    ges = porous_exponential_domination_number(tree_from_code(code)).value
     if ges != lp:
         return []
-    if canonical_code(g) in {canonical_code(star(3)), canonical_code(fixture_f2())}:
+    if code in {canonical_code(star(3)), canonical_code(fixture_f2())}:
         return []
     return [
         (g6, "gamma_e_star = gamma_ef_star only on the two known trees",
@@ -328,25 +366,34 @@ def _check_conjecture2(g6: str, g: Graph) -> list[tuple]:
 
 
 def _mp_item(args):
-    check, g6, g = args
-    return check(g6, g)
+    check, g6, tree = args
+    return check(g6, tree)
 
 
-def _sweep(check: Callable, corpus: Callable = trees_up_to) -> Callable:
-    """``check(g6, g)`` on each graph of ``corpus(n_max)``, the violations
-    flattened."""
+def _sweep(check: Callable, extras: Callable | None = None) -> Callable:
+    """``check(g6, code)`` on each tree code up to order n_max, then
+    ``check(g6, g)`` on each graph of ``extras(n_max)``, the violations
+    flattened.
+
+    The items are built one order at a time, each as it is checked, or as
+    one ``pool.map`` batch per order; a tree's graph6 and its check read the
+    same parse of its code (``canon._code_edges``)."""
 
     def run(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
-        items = [(check, emit_graph6(g), g) for g in corpus(n_max)]
-        if jobs > 1 and len(items) > 1:
+        orders = [_subcubic_trees_cached(n) for n in range(1, n_max + 1)]
+        graphs = [] if extras is None else extras(n_max)
+        batches = [((check, graph6_from_code(c), c) for c in codes) for codes in orders]
+        batches.append((check, emit_graph6(g), g) for g in graphs)
+        total = sum(map(len, orders)) + len(graphs)
+        if jobs > 1 and total > 1:
             # imported here: at module level it adds about 10 ms to every start
             from multiprocessing import get_context
 
-            with get_context("fork").Pool(min(jobs, len(items))) as pool:
-                results = pool.map(_mp_item, items)
+            with get_context("fork").Pool(min(jobs, total)) as pool:
+                flat = [v for b in batches for out in pool.map(_mp_item, b) for v in out]
         else:
-            results = [_mp_item(item) for item in items]
-        return len(items), [v for item in results for v in item]
+            flat = [v for b in batches for out in map(_mp_item, b) for v in out]
+        return total, flat
 
     return run
 
@@ -425,12 +472,12 @@ class SuiteSpec(NamedTuple):
 
 
 SUITES: dict[str, SuiteSpec] = {
-    "chain": SuiteSpec(10, _sweep(_check_chain, _tree_cycle_corpus)),
+    "chain": SuiteSpec(10, _sweep(_check_chain, _cycles)),
     "theorem2": SuiteSpec(12, _sweep(_check_theorem2)),
     "corollary1": SuiteSpec(10, _sweep(_check_corollary1)),
-    "theorem3": SuiteSpec(10, _sweep(_check_theorem3, _tree_f2_corpus)),
+    "theorem3": SuiteSpec(10, _sweep(_check_theorem3, _f2)),
     "theorem4": SuiteSpec(10, _sweep(_check_theorem4)),
-    "theorem5": SuiteSpec(12, _sweep(_check_theorem5, _tree_cycle_corpus)),
+    "theorem5": SuiteSpec(12, _sweep(_check_theorem5, _cycles)),
     "corollary2": SuiteSpec(12, _sweep(_check_corollary2)),
     "lemma1": SuiteSpec(11, _run_lemma1),
     "lemma2": SuiteSpec(10, _run_lemma2),

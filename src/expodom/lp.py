@@ -25,14 +25,20 @@ negative entry the route falls back to the exact simplex, ``solve_exact``
 on the same integer rows.  Neither route reads degrees or the tree formula
 (n + 2) / 6.
 
-The tree route, ``tree_porous_number``, solves the LP of a tree in O(n)
-big-int operations and builds no matrix.  ``_tree_solution`` is Gaussian
+The tree route solves the LP of a tree in O(n) big-int operations and
+builds no matrix.  Its core, ``rooted_porous_number``, takes the tree hung
+from a root as ``(order, children)``: ``_tree_solution`` is Gaussian
 elimination in leaf-first order, and two passes over the rooted tree,
 ``_tree_down`` and ``_tree_up``, give the rows times x in integers for
 ``_check_tree_certificate``.  A tight x with a negative entry (a vertex of
-degree 4 or more) goes to ``fractional_porous_number``.  The sweeps whose
-corpus holds only trees read the tree route: theorem2, corollary1,
-theorem3, theorem4, corollary2 and conjecture 2.  The chain and theorem5
+degree 4 or more) goes to ``fractional_porous_number``.  The core has two
+routes in and one certificate: ``tree_porous_number(g)`` hangs a ``Graph``
+from vertex 0 by ``rooted_tree``, and the code route reads the rooted view
+of a canonical tree code, ``canon._code_tree``, with no ``Graph`` built.
+The sweeps whose corpus holds only trees read the tree route: theorem2,
+theorem3, theorem4, corollary2 and conjecture 2 by the code route, and
+corollary1 (on the tree it builds to search) and theorem3 on
+``fixture_f2`` by the wrapper.  The chain and theorem5
 sweeps, which also take cycles, read ``fractional_porous_number``, and so
 does ``compute`` on every graph, trees included: its size limit,
 ``LP_ORDER_LIMIT``, guards those about n**6 routes on purpose, and moving
@@ -216,7 +222,8 @@ def _tree_solution(order: list[int], children: list[list[int]]) -> list[int]:
     """
     z6 = [2] * len(order)  # 6 * (4/3)(1/2 - 1/4)
     z6[order[0]] = 3  # 6 * 1/2
-    return [z6[v] - sum(z6[u] for u in kids) // 2 for v, kids in enumerate(children)]
+    z = z6.__getitem__
+    return [z6[v] - sum(map(z, kids)) // 2 for v, kids in enumerate(children)]
 
 
 def _tree_down(order: list[int], children: list[list[int]], x) -> list[int]:
@@ -228,8 +235,9 @@ def _tree_down(order: list[int], children: list[list[int]], x) -> list[int]:
     """
     top = len(order) + 1
     down = [0] * len(order)
+    below = down.__getitem__
     for v in reversed(order):
-        down[v] = (x[v] << top) + (sum(down[u] for u in children[v]) >> 1)
+        down[v] = (x[v] << top) + (sum(map(below, children[v])) >> 1)
     return down
 
 
@@ -258,33 +266,40 @@ def _check_tree_certificate(x6: list[int], full: list[int], value: Fraction) -> 
     equality, and sum(x) == sum(y) is the value of both.
     """
     n = len(x6)
-    if len(full) != n or any(c < 0 for c in x6):
+    if len(full) != n or min(x6, default=0) < 0:
         raise CertificateError("tree LP solution is negative or the wrong length")
-    if any(f != 3 << (n + 1) for f in full):
+    if full.count(3 << (n + 1)) != n:
         raise CertificateError("tree LP solution leaves a row untight")
-    if value * 6 != sum(x6):
+    if value.numerator * 6 != sum(x6) * value.denominator:
         raise CertificateError("objective differs from sum(x) == sum(y)")
 
 
-def tree_porous_number(g: Graph) -> Fraction:
-    """The optimum of the porous LP of the tree g, in O(n) big-int
-    operations; raises NotTreeError unless g is a tree.
+def rooted_porous_number(order, children) -> Fraction:
+    """The optimum of the porous LP of the tree hung as ``rooted_tree``
+    gives it, in O(n) big-int operations.
 
     ``_tree_solution`` gives the tight x, and two passes, ``_tree_down``
     then ``_tree_up``, give the rows times x for
     ``_check_tree_certificate``; the value sum(x6) / 6 is the one
     ``Fraction`` built.  When the tight x has a negative entry (``star(4)``:
     a vertex of degree 4 or more) the LP goes to ``fractional_porous_number``
-    and its simplex.  The route reads no degree and no (n + 2) / 6.
+    and its simplex, on the ``Graph`` of the same edges.  The route reads no
+    degree and no (n + 2) / 6.
     """
-    order, children = rooted_tree(g, 0)
     x6 = _tree_solution(order, children)
     if min(x6) < 0:
-        return fractional_porous_number(g)
+        edges = [(v, u) for v in order for u in children[v]]
+        return fractional_porous_number(Graph(len(order), edges))
     value = Fraction(sum(x6), 6)
     full = _tree_up(order, children, _tree_down(order, children, x6))
     _check_tree_certificate(x6, full, value)
     return value
+
+
+def tree_porous_number(g: Graph) -> Fraction:
+    """The optimum of the porous LP of the tree g: ``rooted_porous_number``
+    on g hung from vertex 0.  Raises NotTreeError unless g is a tree."""
+    return rooted_porous_number(*rooted_tree(g, 0))
 
 
 class CanonicalSolution(NamedTuple):

@@ -269,6 +269,23 @@ def trees(draw, max_n: int) -> Graph:
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+@st.composite
+def subcubic_trees(draw, max_n: int) -> Graph:
+    """Hypothesis strategy: a subcubic tree of order 1..max_n, each vertex
+    after the first hung on a drawn earlier one of degree below 3, then
+    relabeled by a drawn permutation."""
+    n = draw(st.integers(1, max_n))
+    deg = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = draw(st.sampled_from([w for w in range(v) if deg[w] < 3]))
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def influence_oracle(g: Graph, dominators, blocked: bool) -> list[Fraction]:
     """Each vertex's weight by definition: the sum over dominators v of
     (1/2)**(d-1), d the BFS distance from v, through no other dominator

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expodom.graph import (
     Graph,
@@ -23,12 +24,14 @@ from expodom.graph import (
     parse_edge_list,
     path,
     rooted_tree,
+    rooted_tree_diameter,
     star,
 )
-from expodom.enumeration import trees_up_to
+from expodom.canon import _code_tree, canonical_code, tree_from_code
+from expodom.enumeration import _subcubic_trees_cached, trees_up_to
 from expodom.fixtures import fixture_f2
 
-from _oracles import graphs, random_subcubic_graph
+from _oracles import graphs, random_subcubic_graph, subcubic_trees
 
 
 def test_parse_simple_path():
@@ -118,6 +121,23 @@ def test_diameter_examples():
     assert diameter(Graph(1)) == 0
     assert diameter(Graph(3, [(0, 1)])) == INF
     assert diameter(fixture_f2()) == 6
+
+
+def test_rooted_diameter_of_every_code_up_to_order_14():
+    # the diameter read off each code's rooted view, against the BFS one
+    for n in range(1, 15):
+        for code in _subcubic_trees_cached(n):
+            want = diameter(tree_from_code(code))
+            assert rooted_tree_diameter(*_code_tree(code)) == want, code
+
+
+@settings(max_examples=150, deadline=None)
+@given(subcubic_trees(max_n=60), st.data())
+def test_rooted_diameter_on_random_subcubic_trees(g, data):
+    root = data.draw(st.integers(0, g.n - 1))
+    want = diameter(g)
+    assert rooted_tree_diameter(*rooted_tree(g, root)) == want
+    assert rooted_tree_diameter(*_code_tree(canonical_code(g))) == want
 
 
 def test_degree_partition_path():

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import expodom
-from expodom import canon, graph6, harness, solvers, weights
+from expodom import canon, graph, graph6, harness, solvers, weights
 from expodom.canon import canonical_code, tree_from_code
 from expodom.enumeration import (
     labeled_count_from_classes,
@@ -184,6 +184,15 @@ def test_lemma2_runs_fixed_pair_count():
     assert report.checked == 500
 
 
+def _patch_package(monkeypatch, real, fake) -> None:
+    """Patch every package binding of the function ``real`` with ``fake``;
+    a forked worker inherits the patch."""
+    for name, module in list(sys.modules.items()):
+        in_package = name == "expodom" or name.startswith("expodom.")
+        if in_package and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, fake)
+
+
 def _spy_tree_builds(monkeypatch) -> list[bytes]:
     """Patch every package binding of ``tree_from_code`` with a spy; the
     returned list collects the code of each tree built."""
@@ -194,10 +203,7 @@ def _spy_tree_builds(monkeypatch) -> list[bytes]:
         built.append(code)
         return real(code)
 
-    for name, module in list(sys.modules.items()):
-        in_package = name == "expodom" or name.startswith("expodom.")
-        if in_package and getattr(module, "tree_from_code", None) is real:
-            monkeypatch.setattr(module, "tree_from_code", spy)
+    _patch_package(monkeypatch, real, spy)
     return built
 
 
@@ -238,6 +244,59 @@ def test_sweeps_parse_no_graph6(monkeypatch, jobs):
     report = run_suite("theorem2", 8, jobs=jobs)
     assert report.passed
     assert report.checked == 28
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tree_lp_sweeps_build_no_tree(monkeypatch, jobs):
+    # theorem2 and corollary2 read the LP and the diameter off each code's
+    # rooted view: no Graph built, no tree rooted by a BFS
+    def refuse(*args):
+        raise AssertionError(f"built or rooted a tree: {args!r}")
+
+    _patch_package(monkeypatch, canon.tree_from_code, refuse)
+    _patch_package(monkeypatch, graph.rooted_tree, refuse)
+    for suite in ("theorem2", "corollary2"):
+        report = run_suite(suite, 10, jobs=jobs)
+        assert report.passed
+        assert report.checked == 83
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_theorem4_builds_trees_only_at_integer_lp_values(monkeypatch, jobs):
+    # gamma_ef_star = (n+2)/6 is an integer only at orders 4 and 10 here; a
+    # build at any other order raises, in a worker too
+    real = canon.tree_from_code
+    built = []
+
+    def build(code):
+        n = len(code) // 2
+        if n not in (4, 10):
+            raise AssertionError(f"built a tree of order {n}")
+        built.append(n)
+        return real(code)
+
+    _patch_package(monkeypatch, real, build)
+    report = run_suite("theorem4", 10, jobs=jobs)
+    assert report.passed
+    assert report.checked == 83
+    if jobs == 1:  # a worker's builds stay in the worker
+        assert (built.count(4), built.count(10), len(built)) == (2, 37, 39)
+
+
+def test_sweep_items_carry_the_graph6_of_their_code(monkeypatch):
+    items = []
+    real = harness._mp_item
+
+    def spy(args):
+        items.append(args)
+        return real(args)
+
+    monkeypatch.setattr(harness, "_mp_item", spy)
+    report = run_suite("theorem2", 14)
+    assert report.checked == len(items) == 1101
+    for _, g6, code in items:
+        assert isinstance(g6, str)
+        assert g6 == emit_graph6(tree_from_code(code)), code
 
 
 def test_influence_checks_build_no_weight_profile(monkeypatch):

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 
 from expodom import cli, lp, weights
-from expodom.enumeration import trees_up_to
+from expodom.canon import _code_tree, canonical_code, tree_from_code
+from expodom.enumeration import _subcubic_trees_cached, trees_up_to
 from expodom.graph import (
     CertificateError,
     Graph,
@@ -146,6 +147,44 @@ def test_tampered_tree_certificate_raises(monkeypatch, what, g):
     TAMPERS[what](monkeypatch)
     with pytest.raises(CertificateError):
         tree_porous_number(g)
+
+
+@pytest.mark.parametrize("what", sorted(TAMPERS))
+@pytest.mark.parametrize("g", [Graph(1), path(5), star(3)], ids=["K1", "P5", "K13"])
+def test_tampered_code_route_certificate_raises(monkeypatch, what, g):
+    # the code route shares the core, so every tamper trips it too, also
+    # through the theorem2 sweep
+    TAMPERS[what](monkeypatch)
+    with pytest.raises(CertificateError):
+        lp.rooted_porous_number(*_code_tree(canonical_code(g)))
+    with pytest.raises(CertificateError):
+        run_suite("theorem2", g.n)
+
+
+def test_code_route_matches_the_graph_route():
+    # all 1,101 subcubic trees up to order 14: the core on the code's rooted
+    # view against the wrapper on the tree built from the code
+    codes = [c for n in range(1, 15) for c in _subcubic_trees_cached(n)]
+    assert len(codes) == 1101
+    for code in codes:
+        assert lp.rooted_porous_number(*_code_tree(code)) == tree_porous_number(
+            tree_from_code(code)
+        ), code
+
+
+def test_code_route_falls_back_to_one_simplex(monkeypatch):
+    # the rooted view of star(4) has the same negative tight x
+    calls = []
+    real = lp.solve_min_geq
+
+    def spy(a, b, c):
+        calls.append(len(c))
+        return real(a, b, c)
+
+    monkeypatch.setattr(lp, "solve_min_geq", spy)
+    fractional_porous_number.cache_clear()
+    assert lp.rooted_porous_number(*_code_tree(canonical_code(star(4)))) == 1
+    assert calls == [5]
 
 
 def test_certificate_refuses_a_negative_tight_x():
