@@ -34,6 +34,12 @@ its trees as canonical codes, one order at a time, and builds a ``Graph``
 only where a check searches or names vertices: ``verify --suite theorem2``
 reads each tree's LP off its code: about 18 s and 61 MB at ``--nmax 22``
 under ``python -O`` (one core of a shared 2-core x86 host, Python 3.11).
+``--jobs`` pays only on sweeps that search per tree: on that host,
+``conjecture --id 1 --nmax 15`` took 1.2-1.35 s cold at ``--jobs 1`` and
+0.8-0.9 s in 3 of 4 runs at ``--jobs 2``.  The sweeps that only read an
+LP per tree, such as ``theorem2``, gain nothing, since a check costs less
+than handing its tree to a worker: ``theorem2 --nmax 18`` took 0.7-0.8 s
+cold either way.
 """
 
 from __future__ import annotations

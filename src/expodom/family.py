@@ -33,9 +33,11 @@ public guards, which ``recognize`` calls, root both DPs at the guarded
 vertex.  Both read the same three verdicts (``_FITS``), and every value a
 guard reads is backed by a witness re-checked in explicit code: gamma's and
 gamma_e's once per DP run, a forced, restricted or tau witness at each
-vertex where the value is read.  A classical witness is read back from the
-DP's choices at each read and checked with closed-neighbourhood bitmasks:
-its size, whether it holds x, and the OR of its members' masks against the
+vertex where the value is read.  Both DPs carry each witness as a member
+mask in their states: the blocked one beside its counts, the classical one
+packed into each cost (``solvers._dom_packing``).  A classical witness is
+unpacked at each read and checked with closed-neighbourhood bitmasks: its
+size, whether it holds x, and the OR of its members' masks against the
 targets' mask (``solvers._dom_witness``).  A tau witness is evaluated anew
 by ``_tau_of_set``, one blocked BFS per member and one from x.  A
 rerooted tau(x) is the least need over the product of x's branch

@@ -53,15 +53,17 @@ On trees, ``tree_domination`` gives gamma, domination with a forced vertex x
 and restricted domination of V - {x} without a search: the classical linear
 DP of Cockayne, Goodman and Hedetniemi (1975), rooted at x, whose three
 states per vertex (in the set; outside it and dominated by a child; outside
-it and not yet dominated) yield all three values from one run.  Its
-witnesses are read back from the DP's choices, so they need not be the
-lexicographically smallest; each is re-checked, with its size, like a
-search's, as one OR of closed-neighbourhood bitmasks against the targets'
-mask.  ``TreeDomination`` reroots the same DP: from one down pass and
-one up pass it gives every vertex's forced and restricted values, each
-witness read back and re-checked when its value is read.  The family guards
-read both; ``compute`` and the suites keep the searches, which judge them
-in the tests.
+it and not yet dominated) yield all three values from one run.  Each cost
+is one int that packs the count above the mask of the set behind it
+(``_dom_packing``), so the DP's sums and minima carry its witnesses along.
+They need not be the lexicographically smallest; each is unpacked and
+re-checked, with its size, like a search's, as one OR of
+closed-neighbourhood bitmasks against the targets' mask.
+``TreeDomination`` reroots the same DP: from one down pass and one up pass
+it gives every vertex's forced and restricted values, each witness
+unpacked and re-checked when its value is read.  The family guards read
+both; ``compute`` and the suites keep the searches, which judge them in
+the tests.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from typing import NamedTuple
 from .graph import (
     CertificateError,
     Graph,
-    INF,
     connected_components,
     induced_subgraph,
     rooted_tree,
@@ -219,12 +220,29 @@ def domination_with_forced_vertex(g: Graph, x: int) -> int:
 # -- classical domination on trees: the linear DP ----------------------------
 
 
-def _dom_costs(branches, skip: int = -1) -> tuple[int, int, int]:
-    """A vertex's costs (a, b, c) from the costs of its branches, leaving out
-    branch number ``skip``: a = 1 + sum min(a_i, b_i, c_i), b = sum
-    min(a_i, b_i) + min_i(a_i - min(a_i, b_i)) (no such state without a
-    branch), c = sum b_i."""
-    a, ab, c, extra = 1, 0, 0, INF
+def _dom_packing(n: int) -> tuple[int, int]:
+    """(unit, none) for the packed costs of the classical DP on n vertices.
+    A cost is ``count * unit + members``: the members' mask in bits 0 to
+    n - 1, bit n spare.  Disjoint branches' masks add without carry, so a
+    sum of costs packs the union of their sets, and costs order by count
+    first.  So does every difference ``a_i - min(a_i, b_i)``: its mask part
+    lies strictly between -2**n and 2**n, which the spare bit keeps below
+    one unit.  ``none``, the cost of no such state (b at a leaf), is an int
+    above every cost; a float there would overflow when added to a cost
+    past 2**1024."""
+    unit = 2 << n
+    return unit, (n + 1) * unit
+
+
+def _dom_costs(
+    branches, own: int, none: int, skip: int = -1
+) -> tuple[int, int, int]:
+    """A vertex's packed costs (a, b, c) from the packed costs of its
+    branches, leaving out branch number ``skip``: a = own + sum min(a_i,
+    b_i, c_i), b = sum min(a_i, b_i) + min_i(a_i - min(a_i, b_i)), c = sum
+    b_i.  ``own`` packs the vertex alone, one unit plus its bit, and
+    ``none`` is b with no branch (``_dom_packing``)."""
+    a, ab, c, extra = own, 0, 0, none
     for i, (ai, bi, ci) in enumerate(branches):
         if i != skip:
             m = ai if ai < bi else bi
@@ -245,67 +263,30 @@ def _closed_masks(g: Graph) -> list[int]:
     return closed
 
 
-def _dom_readback(x: int, state: int, kids, costs) -> list[int]:
-    """The vertices behind x's cost in ``state`` (0, 1, 2 for a, b, c), each
-    branch taking the state its parent's recurrence chose.  ``kids`` and
-    ``costs`` are the tree hung from x: each vertex's children, and the
-    costs of each vertex's subtree."""
-    chosen = []
-    states = [0] * len(kids)
-    states[x] = state
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        below = kids[v]
-        stack += below
-        s = states[v]
-        if s == 0:
-            chosen.append(v)
-            for u in below:
-                a, b, c = costs[u]
-                states[u] = 0 if a <= b and a <= c else 1 if b <= c else 2
-        elif s == 1:
-            # the first child to join D at the least extra cost, a - min(a, b)
-            lift, extra = -1, INF
-            for u in below:
-                a, b, _ = costs[u]
-                if a <= b:  # no extra cost: none comes lower
-                    lift = u
-                    break
-                if a - b < extra:
-                    lift, extra = u, a - b
-            for u in below:
-                a, b, _ = costs[u]
-                states[u] = 0 if u == lift or a <= b else 1
-        else:
-            for u in below:
-                states[u] = 1
-    return chosen
-
-
-def _dom_witness(closed, x: int, state: int, value: int, kids, costs) -> tuple:
-    """Read back the set behind x's cost ``value`` in ``state``
-    (``_dom_readback``) and re-check it, with its size, against what the
-    state promises: a dominating set holding x, a dominating set without x,
-    a set without x dominating all of V - {x}.  ``closed`` holds each
-    vertex's closed neighbourhood as a bitmask (``_closed_masks``): the set
-    dominates a target exactly when the OR of its members' masks covers the
-    target's bit.  Returns the set, sorted."""
-    chosen = _dom_readback(x, state, kids, costs)
-    members = cover = 0
+def _dom_witness(closed, x: int, state: int, cost: int) -> tuple[int, tuple]:
+    """Unpack x's packed cost in ``state`` (0, 1, 2 for a, b, c) into its
+    count and its set, and re-check the set, with its size, against what
+    the state promises: a dominating set holding x, a dominating set
+    without x, a set without x dominating all of V - {x}.  ``closed`` holds
+    each vertex's closed neighbourhood as a bitmask (``_closed_masks``):
+    the set dominates a target exactly when the OR of its members' masks
+    covers the target's bit.  Returns the count and the set, sorted."""
+    n = len(closed)
+    count, members = divmod(cost, _dom_packing(n)[0])
+    chosen = [v for v in range(n) if members >> v & 1]
+    cover = 0
     for v in chosen:
-        members |= 1 << v
         cover |= closed[v]
-    targets = (1 << len(closed)) - 1
+    targets = (1 << n) - 1
     if state == 2:
         targets ^= 1 << x
     _certify(
-        len(chosen) == value
+        len(chosen) == count
         and (members >> x & 1) == (state == 0)
         and cover & targets == targets,
         f"tree witness of root state {'abc'[state]} breaks its promise",
     )
-    return tuple(sorted(chosen))
+    return count, tuple(chosen)
 
 
 def tree_domination(
@@ -319,17 +300,19 @@ def tree_domination(
     three: ``a`` with v in D, ``b`` with v outside D and dominated by a
     child, ``c`` with v outside D and not yet dominated.  Over v's children
     i: a = 1 + sum min(a_i, b_i, c_i), b = sum min(a_i, b_i) + min_i(a_i -
-    min(a_i, b_i)) (no such state at a leaf), c = sum b_i.  The recurrence
-    is written out here, not read from ``_dom_costs``, so that this DP
-    judges ``TreeDomination`` in the tests.  At the root, gamma = min(a,
-    b), forced = a and restricted = min(a, b, c).  The witness of each root
-    state used is read back from the same choices and re-checked
-    (``_dom_witness``); a dominating set is also a restricted one.  Raises
-    NotTreeError unless g is a tree."""
+    min(a_i, b_i)) (no such state at a leaf), c = sum b_i.  Each cost is
+    packed with the set behind it (``_dom_packing``), so the sums and minima
+    carry the witnesses along.  The recurrence is written out here, not
+    read from ``_dom_costs``, so that this DP judges ``TreeDomination`` in
+    the tests.  At the root, gamma = min(a, b), forced = a and restricted =
+    min(a, b, c).  The witness of each root state used is unpacked and
+    re-checked (``_dom_witness``); a dominating set is also a restricted
+    one.  Raises NotTreeError unless g is a tree."""
     order, children = rooted_tree(g, x)
+    unit, none = _dom_packing(g.n)
     costs = [None] * g.n
     for v in reversed(order):
-        a, ab, c, extra = 1, 0, 0, INF
+        a, ab, c, extra = unit + (1 << v), 0, 0, none
         for u in children[v]:
             au, bu, cu = costs[u]
             m = au if au < bu else bu
@@ -350,78 +333,61 @@ def tree_domination(
     sets = {}
     for _, state in picks:
         if state not in sets:
-            sets[state] = _dom_witness(
-                closed, x, state, root[state], children, costs
-            )
-    return tuple(DomCertificate(p, root[s], sets[s]) for p, s in picks)
+            sets[state] = _dom_witness(closed, x, state, root[state])
+    return tuple(DomCertificate(p, *sets[s]) for p, s in picks)
 
 
 class TreeDomination:
     """gamma of the tree g, and at every vertex x its domination with x
     forced and its restricted domination of V - {x}: ``tree_domination``'s
-    DP rooted once, at vertex 0, and rerooted by a second pass.
+    packed DP rooted once, at vertex 0, and rerooted by a second pass.
 
     The down pass gives each vertex v the costs ``down[v]`` of its subtree.
     The up pass, top-down, gives each child u of v the costs ``up[u]`` of v
     in the tree without u's branch: v's other branches, recombined
     (``_dom_costs`` with a skip; at degree at most 3, one or two of them).
     A vertex's children and its own ``up`` are all its branches, so
-    ``full[x]`` holds the costs the DP rooted at x would end with.  gamma
-    and its witness are read at vertex 0 once; a forced or restricted value
-    is read in O(1), and its witness is read back and checked when it is
-    asked for.  Raises NotTreeError unless g is a tree."""
+    ``full[x]`` holds the costs the DP rooted at x would end with, each
+    with its set.  gamma and its witness are read at vertex 0 once; a
+    forced or restricted value is read in O(1), and its witness is unpacked
+    and checked when it is asked for.  Raises NotTreeError unless g is a
+    tree."""
 
     def __init__(self, g: Graph):
         order, children = rooted_tree(g, 0)
+        unit, none = _dom_packing(g.n)
         parent = [-1] * g.n
         down = [None] * g.n
         for v in reversed(order):
             for u in children[v]:
                 parent[u] = v
-            down[v] = _dom_costs([down[u] for u in children[v]])
+            below = [down[u] for u in children[v]]
+            down[v] = _dom_costs(below, unit + (1 << v), none)
         up = [None] * g.n
         full = [None] * g.n
         for v in order:
             branches = [down[u] for u in children[v]]
             if parent[v] >= 0:
                 branches.append(up[v])
-            full[v] = _dom_costs(branches)
+            own = unit + (1 << v)
+            full[v] = _dom_costs(branches, own, none)
             for i, u in enumerate(children[v]):
-                up[u] = _dom_costs(branches, i)
+                up[u] = _dom_costs(branches, own, none, i)
         self.g, self.order, self.children, self.parent = g, order, children, parent
-        self._down, self._up, self._full = down, up, full
-        a, b, _ = full[0]
-        self.gamma = min(a, b)
+        self._full = full
         self._closed = _closed_masks(g)
-        _dom_witness(self._closed, 0, 0 if a <= b else 1, self.gamma, children, down)
-
-    def _witness(self, x: int, state: int) -> int:
-        """x's cost in ``state``, once its witness is read back and checked
-        in the tree hung from x: ``children`` and ``down`` with the path
-        from x to the root turned over, each vertex on it taking its parent
-        as a child and the ``up`` costs of the child it leaves."""
-        kids, costs = list(self.children), list(self._down)
-        below, v = -1, x
-        while v >= 0:
-            p = self.parent[v]
-            kids[v] = [u for u in self.children[v] if u != below]
-            if p >= 0:
-                kids[v].append(p)
-            if below >= 0:
-                costs[v] = self._up[below]
-            below, v = v, p
-        value = self._full[x][state]
-        _dom_witness(self._closed, x, state, value, kids, costs)
-        return value
+        a, b, _ = full[0]
+        self.gamma = _dom_witness(self._closed, 0, 0 if a <= b else 1, min(a, b))[0]
 
     def forced(self, x: int) -> int:
         """The least dominating set holding x."""
-        return self._witness(x, 0)
+        return _dom_witness(self._closed, x, 0, self._full[x][0])[0]
 
     def restricted(self, x: int) -> int:
         """The least set dominating V - {x}."""
         costs = self._full[x]
-        return self._witness(x, costs.index(min(costs)))
+        least = min(costs)
+        return _dom_witness(self._closed, x, costs.index(least), least)[0]
 
 
 # -- exponential domination: subset search -----------------------------------

@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 from expodom import family, solvers
 from expodom.canon import canonical_code
 from expodom.enumeration import trees_up_to
-from expodom.family import _TreeGuards, _blocked_dp, generate_family, tau
+from expodom.family import (
+    _TreeGuards,
+    _blocked_dp,
+    generate_family,
+    op1_applicable,
+    tau,
+)
 from expodom.graph import CertificateError, NotTreeError, cycle, path, rooted_tree
 from expodom.solvers import (
     domination_number,
@@ -197,11 +203,14 @@ def test_rerooted_values_match_on_random_trees(n, seed, data):
 
 def test_a_wrong_up_pass_fails_the_judge(monkeypatch):
     # the up pass's b term takes its least extra over all of the parent's
-    # branches, the child's own included: the sibling exclusion dropped
+    # branches, the child's own included: the sibling exclusion dropped.
+    # The packed b then holds members of the child's own branch, which the
+    # child's other costs hold too, so some unpacked witness breaks its
+    # size or its domination
     real = solvers._dom_costs
 
-    def no_exclusion(branches, skip=-1):
-        a, b, c = real(branches, skip)
+    def no_exclusion(branches, own, none, skip=-1):
+        a, b, c = real(branches, own, none, skip)
         if skip >= 0:
             kept = [t for i, t in enumerate(branches) if i != skip]
             extra = min(ai - min(ai, bi) for ai, bi, _ in branches)
@@ -210,25 +219,29 @@ def test_a_wrong_up_pass_fails_the_judge(monkeypatch):
 
     monkeypatch.setattr(solvers, "_dom_costs", no_exclusion)
     assert _rerooted_mismatches(trees_up_to(7), _from_dps)
+    with pytest.raises(CertificateError):
+        for g in trees_up_to(7):
+            _everywhere(g)
 
 
 @pytest.mark.parametrize("forge", ["value", "branch"])
 def test_a_forged_forced_witness_raises(forge):
-    # path(5) rooted at vertex 0: the forced value at 0 claims one vertex
-    # fewer than the DP's, or the read-back loses the branch below vertex 2;
-    # either way the set read back breaks its size or its domination
+    # path(5) rooted at vertex 0: the forced cost at 0 packs {0, 3} at count
+    # 2.  Forged, it claims one vertex fewer with the same set, or loses the
+    # branch below vertex 2, vertex 3 and one count with it; either way the
+    # set unpacked breaks its size or its domination
     values = TreeDomination(path(5))
+    unit = solvers._dom_packing(5)[0]
+    cost, *rest = values._full[0]
+    assert cost == 2 * unit + 0b1001
     assert values.forced(0) == 2
-    if forge == "value":
-        values._full[0] = (1, *values._full[0][1:])
-    else:
-        values.children[2] = []
+    values._full[0] = (cost - unit - (1 << 3 if forge == "branch" else 0), *rest)
     with pytest.raises(CertificateError):
         values.forced(0)
 
 
 # each read of path(5) at vertex 0, given a TreeDomination built before the
-# read-back was tampered with; the gamma witness is read as one is built
+# unpacking was tampered with; the gamma witness is read as one is built
 _READS = {
     "gamma": lambda values: TreeDomination(path(5)),
     "forced": lambda values: values.forced(0),
@@ -240,22 +253,63 @@ _READS = {
 @pytest.mark.parametrize("tamper", ["drop", "move"])
 @pytest.mark.parametrize("read", sorted(_READS))
 def test_a_tampered_read_back_raises(monkeypatch, read, tamper):
-    # every read at vertex 0 of path(5) reads back {0, 3}.  Dropping 3
-    # breaks the size; moving it to 4 keeps the size and leaves vertex 2
-    # outside every chosen closed neighbourhood, so the masks' OR misses it
+    # every read at vertex 0 of path(5) unpacks {0, 3} at count 2 from its
+    # cost.  Dropping 3's bit breaks the size; moving it to 4 keeps the size
+    # and leaves vertex 2 outside every member's closed neighbourhood, so
+    # the masks' OR misses it
     values = TreeDomination(path(5))
-    real = solvers._dom_readback
-    assert sorted(real(0, 0, values.children, values._down)) == [0, 3]
+    unit = solvers._dom_packing(5)[0]
+    real = solvers._dom_witness
+    forge = -(1 << 3) if tamper == "drop" else (1 << 4) - (1 << 3)
 
-    def tampered(*args):
-        chosen = real(*args)
-        if tamper == "drop":
-            return [v for v in chosen if v != 3]
-        return [4 if v == 3 else v for v in chosen]
+    def tampered(closed, x, state, cost):
+        assert cost == 2 * unit + 0b1001
+        return real(closed, x, state, cost + forge)
 
-    monkeypatch.setattr(solvers, "_dom_readback", tampered)
+    monkeypatch.setattr(solvers, "_dom_witness", tampered)
     with pytest.raises(CertificateError):
         _READS[read](values)
+
+
+def test_the_packed_dp_holds_on_a_long_path():
+    # costs of about 2,000 bits: "no such state" must be an int, since a
+    # float added to an int past 2**1024 overflows.  Vertex 1 sums its leaf
+    # child's b with its other child's; rooted at vertex 0, no vertex does
+    g = path(2000)
+    for x in (0, 1):
+        assert [c.value for c in tree_domination(g, x)] == [667, 667, 667]
+    assert TreeDomination(g).gamma == 667
+    assert op1_applicable(g, 1)
+
+
+def test_the_spare_bit_orders_extras_by_count_first():
+    # branch 0 joins D at one count more, its mask falling by 2**n - 1;
+    # branch 1 at no count more, its mask rising by 2**n - 1.  With the
+    # spare bit, b takes branch 1's a; without it the first extra packs
+    # below the second, and b takes branch 0's a at one count too many.
+    # (Two disjoint branches of a tree never reach both differences.)
+    n = 6
+    unit, none = solvers._dom_packing(n)
+    full = (1 << n) - 1
+    branches = [(2 * unit, unit + full, 5 * unit), (unit + full, unit, 5 * unit)]
+    _, b, _ = solvers._dom_costs(branches, unit + (1 << 0), none)
+    assert b // unit == 2
+
+
+def test_classical_dp_witnesses_hold_to_order_9():
+    # judged by ``weights``' predicates, not the closed masks that
+    # ``_dom_witness`` checks them with
+    for g in trees_up_to(9):
+        for x in range(g.n):
+            others = [v for v in range(g.n) if v != x]
+            gamma, forced, restricted = tree_domination(g, x)
+            assert [len(c.witness) for c in (gamma, forced, restricted)] == [
+                gamma.value, forced.value, restricted.value
+            ]
+            assert x in forced.witness
+            assert is_dominating(g, gamma.witness)
+            assert is_dominating(g, forced.witness)
+            assert is_restricted_dominating(g, restricted.witness, others)
 
 
 def test_generation_runs_one_pass_of_each_dp_per_tree(monkeypatch):
