@@ -15,7 +15,8 @@ representative ``tree_from_code(canonical_code(g))`` from that list,
 ``graph6.graph6_from_code`` writes the same tree's graph6 from it with no
 ``Graph`` built, and ``_code_tree`` hangs the tree from its root as
 ``graph.rooted_tree`` would, for the sweeps' tree LP.  The parser keeps
-its last parse, so a sweep item's graph6 and its check read one parse.
+nothing between calls: a sweep's check parses its code, and only a
+finding's graph6 parses it again.
 The centers are found inside the walk; only ``TreeCodes`` keeps them.
 ``TreeCodes`` gives ``rooted_code(g, v)`` for every vertex v from one walk
 from g's centers (``rooted_codes``): rerooted top-down, each child's branch
@@ -249,22 +250,12 @@ def canonical_order(g: Graph) -> tuple[bytes, list[int]]:
     return code, order
 
 
-_parsed: tuple = (None, ())  # the last code ``_code_edges`` parsed, and its edges
-
-
-def _code_edges(code: bytes) -> tuple[tuple[int, int], ...]:
+def _code_edges(code: bytes) -> list[tuple[int, int]]:
     """The edges of the tree a code spells, each (parent id, child id), in
     the BFS numbering of its rooted tree, children in code order, so every
     parent id is below its child's.  Raises ValueError unless ``code`` is
     one balanced group of the bytes ``(`` and ``)``.
-
-    It keeps its last parse, a tuple no caller can change: a sweep writes
-    an item's graph6 from the code and then checks the item, and both read
-    the one parse.
     """
-    global _parsed
-    if code == _parsed[0]:
-        return _parsed[1]
     # each vertex is the list of its children, nested as the code nests
     # them; the holder ``top`` sits under the root, so a ")" too many pops it
     top: list = []
@@ -291,8 +282,7 @@ def _code_edges(code: bytes) -> tuple[tuple[int, int], ...]:
         for child in node:
             edges.append((i, len(order)))
             order.append(child)
-    _parsed = code, tuple(edges)
-    return _parsed[1]
+    return edges
 
 
 def _code_tree(code: bytes) -> tuple[range, list[list[int]]]:

@@ -29,17 +29,16 @@ sweep of the per-tree checks over orders above it would run for hours.
 ``f1:<k>`` fixtures above ``graph.MAX_ORDER`` vertices exit 64 before
 anything is built.
 ``verify`` and ``conjecture`` default ``--nmax`` per suite or scan, and run
-``--jobs`` worker processes (default 1), one pool per run.  A sweep reaches
-its trees as canonical codes, one order at a time, and builds a ``Graph``
-only where a check searches or names vertices: ``verify --suite theorem2``
-reads each tree's LP off its code: about 18 s and 61 MB at ``--nmax 22``
-under ``python -O`` (one core of a shared 2-core x86 host, Python 3.11).
-``--jobs`` pays only on sweeps that search per tree: on that host,
-``conjecture --id 1 --nmax 15`` took 1.2-1.35 s cold at ``--jobs 1`` and
-0.8-0.9 s in 3 of 4 runs at ``--jobs 2``.  The sweeps that only read an
-LP per tree, such as ``theorem2``, gain nothing, since a check costs less
-than handing its tree to a worker: ``theorem2 --nmax 18`` took 0.7-0.8 s
-cold either way.
+``--jobs`` worker processes (default 1), one pool per run, capped at one
+per item and per CPU this process may use; a cap of 1 runs serially.  A
+sweep reaches its trees as canonical codes, one order at a time, hands
+workers the bare codes, and builds a ``Graph`` only where a check searches
+or names vertices: ``verify --suite theorem2`` reads each tree's LP off its
+code: about 14 s and 61 MB at ``--nmax 22`` under ``python -O`` (one core
+of a shared 2-core x86 host, Python 3.11).  On that host, cold under
+``python -O``, medians of six runs: ``conjecture --id 1 --nmax 15`` took
+1.29 s at ``--jobs 1`` and 0.86 s at ``--jobs 2``; ``verify --suite
+theorem2 --nmax 18`` 0.63 s and 0.53 s.
 """
 
 from __future__ import annotations

@@ -7,15 +7,16 @@ can be re-checked from their graph6 strings alone.  ``SUITES`` and ``SCANS``
 give each suite and scan a default order bound and a runner, and one function
 times and reports them all; a non-empty scan result is a finding, not a failure.
 
-A sweep item is ``(check, g6, code)``: a canonical tree code from
-``enumeration``, built one order at a time as the sweep reaches it, never
-for the whole corpus at once.  Its graph6 and its check read one parse of
-the code (``canon._code_edges``), and a worker process receives the code.
-The cycles of chain and theorem5 and theorem3's ``fixture_f2``, which
-meets its premise (no enumerated tree up to order 12 does), ride the same
-sweep as ``(check, g6, g)`` with a ``Graph``, after the trees.  Every check
-judges its tree alone: theorem4 flags an "extra hit" off the 3-star and a
-"no hit" on it.  As lemma1 appends full binary trees, theorem3 appends f2.
+A sweep item is a canonical tree code from ``enumeration``, reached one
+order at a time, never for the whole corpus at once; a worker process
+receives the bare code.  The cycles of chain and theorem5 and theorem3's
+``fixture_f2``, which meets its premise (no enumerated tree up to order 12
+does), ride the same sweep as ``Graph`` items, after the trees.  A check
+takes its item alone, parses it itself, and returns its findings as
+``(expected, observed)`` pairs: theorem4 flags an "extra hit" off the
+3-star and a "no hit" on it.  ``_sweep`` alone names a finding by its
+item's graph6, so a passing sweep writes none.  As lemma1 appends full
+binary trees, theorem3 appends f2.
 
 theorem2, corollary2, theorem3, theorem4 and conjecture 2 read the LP
 value off the code's rooted view (``canon._code_tree``) by
@@ -34,6 +35,7 @@ every tree and read ``fractional_porous_number``.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from fractions import Fraction
@@ -163,7 +165,7 @@ def _tree_lp(tree) -> tuple[int, Fraction]:
 # -- per-instance checks (module level so worker processes can import them) --
 
 
-def _check_chain(g6: str, tree) -> list[tuple]:
+def _check_chain(tree) -> list[tuple]:
     g = _graph(tree)
     lp = fractional_porous_number(g)
     ge, ges = (cert.value for cert in exponential_parameters(g))
@@ -171,32 +173,29 @@ def _check_chain(g6: str, tree) -> list[tuple]:
     if lp <= ges <= ge <= gam:
         return []
     return [
-        (
-            g6,
-            "gamma_ef_star <= gamma_e_star <= gamma_e <= gamma",
-            f"{lp} <= {ges} <= {ge} <= {gam}",
-        )
+        ("gamma_ef_star <= gamma_e_star <= gamma_e <= gamma",
+         f"{lp} <= {ges} <= {ge} <= {gam}")
     ]
 
 
-def _check_theorem2(g6: str, code: bytes) -> list[tuple]:
+def _check_theorem2(code: bytes) -> list[tuple]:
     n, lp = _tree_lp(code)
     want = Fraction(n + 2, 6)
     if lp == want:
         return []
-    return [(g6, f"gamma_ef_star = {want}", str(lp))]
+    return [(f"gamma_ef_star = {want}", str(lp))]
 
 
-def _check_corollary1(g6: str, code: bytes) -> list[tuple]:
+def _check_corollary1(code: bytes) -> list[tuple]:
     g = tree_from_code(code)
     lp = tree_porous_number(g)
     ge = exponential_domination_number(g).value
     if ge <= 2 * lp:
         return []
-    return [(g6, f"gamma_e <= 2*gamma_ef_star = {2 * lp}", str(ge))]
+    return [(f"gamma_e <= 2*gamma_ef_star = {2 * lp}", str(ge))]
 
 
-def _check_theorem3(g6: str, tree) -> list[tuple]:
+def _check_theorem3(tree) -> list[tuple]:
     _, lp = _tree_lp(tree)
     # the premise gamma_e_star = lp > 1; the search runs at an integer lp only
     if lp.denominator != 1 or lp <= 1:
@@ -212,7 +211,7 @@ def _check_theorem3(g6: str, tree) -> list[tuple]:
         for w in sorted(v2):
             if dist[u][w] == 2:
                 out.append(
-                    (g6, "no endvertex at distance 2 from a degree-2 vertex",
+                    ("no endvertex at distance 2 from a degree-2 vertex",
                      f"dist({u},{w})=2")
                 )
     for u1 in sorted(v1):
@@ -222,8 +221,7 @@ def _check_theorem3(g6: str, tree) -> list[tuple]:
             for v in sorted(v2):
                 if dist[u1][v] in (3, 4):
                     out.append(
-                        (g6,
-                         "no endvertex pair at distance 2 with a degree-2 "
+                        ("no endvertex pair at distance 2 with a degree-2 "
                          "vertex at distance 3 or 4",
                          f"dist({u1},{u2})=2, dist({u1},{v})={dist[u1][v]}")
                     )
@@ -232,25 +230,24 @@ def _check_theorem3(g6: str, tree) -> list[tuple]:
         for u in sorted(low):
             if porous[u] != 1 << g.n:
                 out.append(
-                    (g6, f"porous weight 1 at low-degree vertex {u} (D={dom})",
+                    (f"porous weight 1 at low-degree vertex {u} (D={dom})",
                      str(Fraction(porous[u], 1 << g.n)))
                 )
         if not set(dom) <= v3:
             out.append(
-                (g6, "minimum porous set inside the degree-3 vertices",
+                ("minimum porous set inside the degree-3 vertices",
                  f"D={dom}")
             )
         neighborhood = {nb for u in low for nb in g.adj[u]}
         if not neighborhood <= (v3 - set(dom)):
             out.append(
-                (g6,
-                 "neighbors of low-degree vertices are degree-3 non-dominators",
+                ("neighbors of low-degree vertices are degree-3 non-dominators",
                  f"N={sorted(neighborhood)}, D={dom}")
             )
     return out
 
 
-def _check_theorem4(g6: str, code: bytes) -> list[tuple]:
+def _check_theorem4(code: bytes) -> list[tuple]:
     n, lp = _tree_lp(code)
     hit = (
         lp.denominator == 1
@@ -260,48 +257,48 @@ def _check_theorem4(g6: str, code: bytes) -> list[tuple]:
     if hit == k13:
         return []
     if k13:
-        return [(g6, "gamma_e = gamma_ef_star holds for the 3-star", "no hit")]
-    return [(g6, "gamma_e = gamma_ef_star only for the 3-star", "extra hit")]
+        return [("gamma_e = gamma_ef_star holds for the 3-star", "no hit")]
+    return [("gamma_e = gamma_ef_star only for the 3-star", "extra hit")]
 
 
-def _check_theorem5(g6: str, tree) -> list[tuple]:
+def _check_theorem5(tree) -> list[tuple]:
     g = _graph(tree)
     lp = fractional_porous_number(g)
     d = diameter(g)
     out = []
     lb_diam = bound_diameter(d)
     if lp < lb_diam:
-        out.append((g6, f"gamma_ef_star >= (d+3)/6 = {lb_diam}", str(lp)))
+        out.append((f"gamma_ef_star >= (d+3)/6 = {lb_diam}", str(lp)))
     lb_order = bound_order_degree(g.n, 3, d)
     if lp < lb_order:
-        out.append((g6, f"gamma_ef_star >= n/(2+3d) = {lb_order}", str(lp)))
-    out.extend(_corollary2_violations(g6, g.n, lp, d))
+        out.append((f"gamma_ef_star >= n/(2+3d) = {lb_order}", str(lp)))
+    out.extend(_corollary2_violations(g.n, lp, d))
     return out
 
 
-def _corollary2_violations(g6: str, n: int, lp: Fraction, d: int) -> list[tuple]:
+def _corollary2_violations(n: int, lp: Fraction, d: int) -> list[tuple]:
     float_bound = bound_subcubic_order(n)
     out = []
     if float(lp) < float_bound - 1e-9:
         out.append(
-            (g6, f"gamma_ef_star >= {float_bound!r} (1e-9 slack)", str(float(lp)))
+            (f"gamma_ef_star >= {float_bound!r} (1e-9 slack)", str(float(lp)))
         )
     exact = max(bound_diameter(d), bound_order_degree(n, 3, d))
     if lp < exact:
         out.append(
-            (g6, f"gamma_ef_star >= max((d+3)/6, n/(2+3d)) = {exact}", str(lp))
+            (f"gamma_ef_star >= max((d+3)/6, n/(2+3d)) = {exact}", str(lp))
         )
     return out
 
 
-def _check_corollary2(g6: str, code: bytes) -> list[tuple]:
+def _check_corollary2(code: bytes) -> list[tuple]:
     order, children = _code_tree(code)
     lp = rooted_porous_number(order, children)
     d = rooted_tree_diameter(order, children)
-    return _corollary2_violations(g6, len(order), lp, d)
+    return _corollary2_violations(len(order), lp, d)
 
 
-def _check_lemma1(g6: str, code: bytes) -> list[tuple]:
+def _check_lemma1(code: bytes) -> list[tuple]:
     g = tree_from_code(code)
     out = []
     low = [u for u in range(g.n) if g.degree(u) <= 2]
@@ -311,14 +308,13 @@ def _check_lemma1(g6: str, code: bytes) -> list[tuple]:
             for u in low:
                 if blocked[u] > 2 << g.n:
                     out.append(
-                        (g6,
-                         f"blocked weight <= 2 at degree-<=2 vertex {u}, D={dom}",
+                        (f"blocked weight <= 2 at degree-<=2 vertex {u}, D={dom}",
                          str(Fraction(blocked[u], 1 << g.n)))
                     )
     return out
 
 
-def _check_theorem1equiv(g6: str, code: bytes) -> list[tuple]:
+def _check_theorem1equiv(code: bytes) -> list[tuple]:
     g = tree_from_code(code)
     trace = recognize(g)
     member = trace is not None
@@ -328,29 +324,24 @@ def _check_theorem1equiv(g6: str, code: bytes) -> list[tuple]:
     out = []
     if member != gamma_eq:
         out.append(
-            (g6, "family membership iff gamma = gamma_e",
+            ("family membership iff gamma = gamma_e",
              f"member={member}, gamma_eq={gamma_eq}")
         )
     if member:
         rebuilt = replay_trace(trace)  # re-validates every guard
         if tree_isomorphism_map(rebuilt, g) is None:
-            out.append(
-                (g6, "trace replays to an isomorphic tree", "not isomorphic")
-            )
+            out.append(("trace replays to an isomorphic tree", "not isomorphic"))
     return out
 
 
-def _check_conjecture1(g6: str, code: bytes) -> list[tuple]:
+def _check_conjecture1(code: bytes) -> list[tuple]:
     ge, ges = (cert.value for cert in exponential_parameters(tree_from_code(code)))
     if 2 * ge <= 3 * ges:
         return []
-    return [
-        (g6, "gamma_e <= (3/2) gamma_e_star",
-         f"gamma_e={ge}, gamma_e_star={ges}")
-    ]
+    return [("gamma_e <= (3/2) gamma_e_star", f"gamma_e={ge}, gamma_e_star={ges}")]
 
 
-def _check_conjecture2(g6: str, code: bytes) -> list[tuple]:
+def _check_conjecture2(code: bytes) -> list[tuple]:
     _, lp = _tree_lp(code)
     if lp.denominator != 1:
         return []
@@ -360,42 +351,56 @@ def _check_conjecture2(g6: str, code: bytes) -> list[tuple]:
     if code in {canonical_code(star(3)), canonical_code(fixture_f2())}:
         return []
     return [
-        (g6, "gamma_e_star = gamma_ef_star only on the two known trees",
+        ("gamma_e_star = gamma_ef_star only on the two known trees",
          f"gamma_e_star={ges}")
     ]
 
 
-def _mp_item(args):
-    check, g6, tree = args
-    return check(g6, tree)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _sweep(check: Callable, extras: Callable | None = None) -> Callable:
-    """``check(g6, code)`` on each tree code up to order n_max, then
-    ``check(g6, g)`` on each graph of ``extras(n_max)``, the violations
-    flattened.
+    """``check(code)`` on each tree code up to order n_max, one order at a
+    time, then ``check(g)`` on each graph of ``extras(n_max)``, by ``map``
+    or by one ``pool.map`` per order, whose workers receive bare items.
 
-    The items are built one order at a time, each as it is checked, or as
-    one ``pool.map`` batch per order; a tree's graph6 and its check read the
-    same parse of its code (``canon._code_edges``)."""
+    A check returns its findings as ``(expected, observed)`` pairs; here
+    alone each is named by its item's graph6 (``graph6_from_code`` for a
+    code, ``emit_graph6`` for a ``Graph``).  The pool has at most one
+    worker per item and per usable CPU; a cap of one runs serially."""
 
     def run(n_max: int, jobs: int) -> tuple[int, list[tuple]]:
-        orders = [_subcubic_trees_cached(n) for n in range(1, n_max + 1)]
-        graphs = [] if extras is None else extras(n_max)
-        batches = [((check, graph6_from_code(c), c) for c in codes) for codes in orders]
-        batches.append((check, emit_graph6(g), g) for g in graphs)
-        total = sum(map(len, orders)) + len(graphs)
-        if jobs > 1 and total > 1:
+        batches = [
+            (_subcubic_trees_cached(n), graph6_from_code) for n in range(1, n_max + 1)
+        ]
+        batches.append(([] if extras is None else extras(n_max), emit_graph6))
+        total = sum(len(items) for items, _ in batches)
+        workers = min(jobs, total, _usable_cpus())
+        if workers > 1:
             # imported here: at module level it adds about 10 ms to every start
             from multiprocessing import get_context
 
-            with get_context("fork").Pool(min(jobs, total)) as pool:
-                flat = [v for b in batches for out in pool.map(_mp_item, b) for v in out]
-        else:
-            flat = [v for b in batches for out in map(_mp_item, b) for v in out]
-        return total, flat
+            with get_context("fork").Pool(workers) as pool:
+                return total, _named(pool.map, check, batches)
+        return total, _named(map, check, batches)
 
     return run
+
+
+def _named(mapper: Callable, check: Callable, batches: list) -> list[tuple]:
+    """Every finding of ``check`` over the batches' items, as
+    ``(graph6, expected, observed)``."""
+    return [
+        (write(item), *finding)
+        for items, write in batches
+        for item, found in zip(items, mapper(check, items))
+        for finding in found
+    ]
 
 
 # -- suites that are not a plain per-graph sweep ------------------------------

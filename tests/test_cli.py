@@ -440,8 +440,8 @@ def test_verify_violation_exit(capsys, monkeypatch):
     # force a failing suite through the table to exercise exit code 2
     import expodom.harness as harness
 
-    def always_fails(g6, g):
-        return [(g6, "nothing", "something")]
+    def always_fails(tree):
+        return [("nothing", "something")]
 
     spec = harness.SuiteSpec(12, harness._sweep(always_fails))
     monkeypatch.setitem(harness.SUITES, "theorem2", spec)

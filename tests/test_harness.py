@@ -7,6 +7,7 @@ import expodom
 from expodom import canon, graph, graph6, harness, solvers, weights
 from expodom.canon import canonical_code, tree_from_code
 from expodom.enumeration import (
+    _subcubic_trees_cached,
     labeled_count_from_classes,
     labeled_subcubic_tree_count,
 )
@@ -108,6 +109,7 @@ def test_equality_checks_search_only_at_integer_lp_values(monkeypatch):
 def test_pool_has_at_most_one_worker_per_item(monkeypatch):
     # a fake context: records the requested pool size and starts no worker
     import multiprocessing
+    import os
 
     sizes = []
 
@@ -128,9 +130,27 @@ def test_pool_has_at_most_one_worker_per_item(monkeypatch):
         Pool = FakePool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
-    report = run_suite("theorem2", 3, jobs=1000)
-    assert report.checked == 3
-    assert sizes == [3]
+
+    def pool_sizes(affinity, count):
+        # the usable CPUs: the affinity mask where the platform has one
+        # (None: it has none), else the machine's count, which may be None
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            mask = set(range(affinity))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        sizes.clear()
+        report = run_suite("theorem2", 3, jobs=1000)
+        assert report.checked == 3 and report.passed
+        return list(sizes)
+
+    assert pool_sizes(64, 64) == [3]  # one worker per item
+    assert pool_sizes(2, 64) == [2]  # one worker per usable CPU
+    assert pool_sizes(1, 64) == []  # a cap of one runs serially
+    assert pool_sizes(None, 64) == [3]
+    assert pool_sizes(None, 2) == [2]
+    assert pool_sizes(None, None) == []
 
 
 def _plant_value(monkeypatch, solver, target, value):
@@ -283,20 +303,33 @@ def test_theorem4_builds_trees_only_at_integer_lp_values(monkeypatch, jobs):
         assert (built.count(4), built.count(10), len(built)) == (2, 37, 39)
 
 
-def test_sweep_items_carry_the_graph6_of_their_code(monkeypatch):
-    items = []
-    real = harness._mp_item
+def _always_fails(tree):
+    # module level, so a worker process can unpickle it
+    return [("nothing", "something")]
 
-    def spy(args):
-        items.append(args)
-        return real(args)
 
-    monkeypatch.setattr(harness, "_mp_item", spy)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_sweep_names_each_finding_by_its_graph6(jobs):
+    checked, flat = harness._sweep(_always_fails)(6, jobs)
+    codes = [c for n in range(1, 7) for c in _subcubic_trees_cached(n)]
+    assert checked == len(codes) == 11
+    assert flat == [
+        (emit_graph6(tree_from_code(code)), "nothing", "something") for code in codes
+    ]
+
+
+def test_a_passing_tree_sweep_writes_no_graph6(monkeypatch):
+    written = []
+    real = harness.graph6_from_code
+
+    def spy(code):
+        written.append(code)
+        return real(code)
+
+    monkeypatch.setattr(harness, "graph6_from_code", spy)
     report = run_suite("theorem2", 14)
-    assert report.checked == len(items) == 1101
-    for _, g6, code in items:
-        assert isinstance(g6, str)
-        assert g6 == emit_graph6(tree_from_code(code)), code
+    assert report.passed and report.checked == 1101
+    assert written == []
 
 
 def test_influence_checks_build_no_weight_profile(monkeypatch):
@@ -316,7 +349,7 @@ def test_influence_checks_build_no_weight_profile(monkeypatch):
     assert run_suite("lemma1", 7).passed
     assert run_suite("theorem3", 8).passed
     f2 = graphs[1]  # no enumerated tree meets theorem 3's premise; f2 does
-    assert harness._check_theorem3(emit_graph6(f2), f2) == []
+    assert harness._check_theorem3(f2) == []
 
 
 def _inflate_first_low_vertex(monkeypatch):
@@ -358,7 +391,6 @@ def test_theorem3_suite_reports_f2_under_a_planted_weight(monkeypatch):
 def test_theorem3_reports_a_planted_weight(monkeypatch):
     _inflate_first_low_vertex(monkeypatch)
     g = fixture_f2()
-    assert harness._check_theorem3(emit_graph6(g), g) == [
-        (emit_graph6(g),
-         "porous weight 1 at low-degree vertex 4 (D=(0, 1, 8, 15))", "5/2")
+    assert harness._check_theorem3(g) == [
+        ("porous weight 1 at low-degree vertex 4 (D=(0, 1, 8, 15))", "5/2")
     ]
